@@ -11,6 +11,7 @@ from .construct import (
     additive_coset_code,
     derive_quantum,
     dimension_bound,
+    grid,
     multiplicative_coset_code,
     quantum_params_for_distance,
 )
@@ -68,6 +69,7 @@ __all__ = [
     "field_for_prime_power",
     "five_one_five_search",
     "generator_matrix",
+    "grid",
     "identity_suites",
     "in_hermitian_dual",
     "is_hermitian_self_orthogonal",

@@ -9,13 +9,16 @@ Subcommands:
     no515                                    the [5,1,5] nonexistence search
 
 Exit codes: 0 success, 1 verification failure, 2 invalid or excluded
-parameters, 3 I/O error.  The primary stream (stdout) carries only
-machine-parseable output; diagnostics go to stderr.
+parameters (including malformed code files), 3 I/O error, 4 internal
+error (a defect in qmds; stdout then carries nothing).  The primary
+stream (stdout) carries only machine-parseable output; diagnostics go to
+stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -25,10 +28,11 @@ from . import serialize
 from .construct import (
     ExcludedParameters,
     ParameterError,
+    QuantumParams,
     additive_coset_code,
     quantum_params_for_distance,
 )
-from .field import DEFAULT_ELEMENT_BOUND
+from .field import DEFAULT_ELEMENT_BOUND, MAX_ELEMENT_BOUND
 from .verify import (
     DEFAULT_SWEEP_Q,
     FAMILIES,
@@ -46,6 +50,7 @@ EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_PARAMS = 2
 EXIT_IO = 3
+EXIT_INTERNAL = 4
 
 ELEMENT_BOUND_ENV = "QMDS_ELEMENT_BOUND"
 
@@ -64,7 +69,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "override the maximum field size q^2 (default "
-            f"{DEFAULT_ELEMENT_BOUND}; env {ELEMENT_BOUND_ENV})"
+            f"{DEFAULT_ELEMENT_BOUND}, at most {MAX_ELEMENT_BOUND}; "
+            f"env {ELEMENT_BOUND_ENV})"
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -105,15 +111,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _element_bound(args: argparse.Namespace) -> int:
-    if args.element_bound is not None:
-        return args.element_bound
+    bound = args.element_bound
     env = os.environ.get(ELEMENT_BOUND_ENV)
-    if env:
+    if bound is None and env:
         try:
-            return int(env)
+            bound = int(env)
         except ValueError:
             raise ParameterError(f"{ELEMENT_BOUND_ENV} must be an integer, got {env!r}")
-    return DEFAULT_ELEMENT_BOUND
+    if bound is None:
+        return DEFAULT_ELEMENT_BOUND
+    if not 4 <= bound <= MAX_ELEMENT_BOUND:  # GF(4) is the smallest field
+        raise ParameterError(f"element bound {bound} is outside 4..{MAX_ELEMENT_BOUND}")
+    return bound
 
 
 def _cmd_construct(args: argparse.Namespace, bound: int) -> int:
@@ -139,15 +148,10 @@ def _cmd_construct(args: argparse.Namespace, bound: int) -> int:
 def _cmd_verify(args: argparse.Namespace, bound: int) -> int:
     code = serialize.load_code(args.file, bound)
     report = verify_code(code, identity=os.path.basename(args.file))
-    qp = {
-        "n": code.length,
-        "k": code.length - 2 * code.k,
-        "d": code.k + 1,
-        "q": code.field.q,
-    }
     obj = report.as_dict()
-    obj["quantum"] = qp
-    sys.stdout.write(json.dumps(obj, indent=2) + "\n")
+    qp = QuantumParams.from_classical(code.length, code.k, code.field.q, args.file)
+    obj["quantum"] = qp.as_dict()
+    serialize.save(obj, sys.stdout)
     print(f"elapsed: {report.elapsed:.3f}s", file=sys.stderr)
     return EXIT_OK if report.passed else EXIT_VERIFICATION
 
@@ -179,17 +183,13 @@ def _cmd_check_lemmas(args: argparse.Namespace, bound: int) -> int:
         "suites": [s.as_dict() for s in suites],
         "all_passed": all_passed,
     }
-    sys.stdout.write(json.dumps(obj, indent=2) + "\n")
+    serialize.save(obj, sys.stdout)
     return EXIT_OK if all_passed else EXIT_VERIFICATION
 
 
 def _cmd_no515() -> int:
     record = five_one_five_search()
-    obj = {
-        "confirmed": record.confirmed,
-        "candidates_examined": record.candidates_examined,
-    }
-    sys.stdout.write(json.dumps(obj, indent=2) + "\n")
+    serialize.save(dataclasses.asdict(record), sys.stdout)
     return EXIT_OK if record.confirmed else EXIT_VERIFICATION
 
 
@@ -215,12 +215,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (ParameterError, serialize.FormatError) as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return EXIT_PARAMS
-    except ValueError as exc:
-        print(f"invalid parameters: {exc}", file=sys.stderr)
-        return EXIT_PARAMS
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except Exception as exc:  # a defect, not bad input: keep it apart from exits 1 and 2
+        import traceback  # here, not at the top: it adds milliseconds to every start-up
+
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     return EXIT_PARAMS
 
 

@@ -15,12 +15,13 @@ suite; both families are re-verified independently by the verifier module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .field import (
     DEFAULT_ELEMENT_BOUND,
     Element,
     FieldTower,
+    ParameterError,
     field_for_prime_power,
 )
 from .grs import GRSCode, is_hermitian_self_orthogonal
@@ -31,14 +32,13 @@ PROVENANCE_ADDITIVE = "theorem1"
 PROVENANCE_EXTENDED = "prop1-general"
 PROVENANCE_EXTENDED_SPECIAL = "prop1-special"
 
-
-class ParameterError(ValueError):
-    """Construction parameters outside the admissible range."""
+#: The two families, named after the theorems that give them.
+FAMILY_ADDITIVE = "theorem1"
+FAMILY_EXTENDED = "theorem2"
 
 
 class ExcludedParameters(ParameterError):
-    """Parameters on the excluded boundary: even characteristic with
-    t = q-1 and classical dimension q-1 (quantum distance q), where the
+    """Parameters on the corner that grid() marks excluded, where the
     special-case multiplier argument degenerates."""
 
 
@@ -59,6 +59,15 @@ class QuantumParams:
                 f"[[{self.n},{self.k},{self.d}]] violates k = n - 2d + 2"
             )
 
+    @classmethod
+    def from_classical(cls, N: int, k: int, q: int, provenance: str) -> "QuantumParams":
+        """[[N, N-2k, k+1]]_q from a Hermitian self-orthogonal classical
+        [N, k] MDS code over GF(q^2); k = 0 gives the degenerate [[N, N, 1]]."""
+        return cls(n=N, k=N - 2 * k, d=k + 1, q=q, provenance=provenance, degenerate=(k == 0))
+
+    def as_dict(self) -> dict:
+        return {"n": self.n, "k": self.k, "d": self.d, "q": self.q}
+
 
 @dataclass(frozen=True)
 class ConstructionResult:
@@ -75,6 +84,41 @@ def dimension_bound(q: int, t: int) -> int:
     return (t * q + q - 1) // (q + 1)
 
 
+def grid(q: int, family: str) -> Iterator[Tuple[int, int, bool]]:
+    """Every (t, k, excluded) of one family for a prime power q, in sweep
+    order.  Additive: 1 <= t <= q, 1 <= k <= dimension_bound(q, t).
+    Extended: 1 <= t <= q-1, 1 <= k <= t+1, where the corner
+    (p, t, k) = (2, q-1, q-1) is excluded: its special-case multiplier
+    needs odd characteristic."""
+    if family == FAMILY_ADDITIVE:
+        for t in range(1, q + 1):
+            for k in range(1, dimension_bound(q, t) + 1):
+                yield t, k, False
+    elif family == FAMILY_EXTENDED:
+        for t in range(1, q):
+            for k in range(1, t + 2):
+                yield t, k, q % 2 == 0 and (t, k) == (q - 1, q - 1)
+    else:
+        raise ParameterError(f"unknown family {family!r}")
+
+
+def check_admissible(q: int, family: str, t: int, k: Optional[int] = None) -> None:
+    """Raise ParameterError unless t (and k, when given) lie on the
+    family's grid, and ExcludedParameters on its excluded corner."""
+    ks = {k2: excluded for t2, k2, excluded in grid(q, family) if t2 == t}
+    if not ks:
+        raise ParameterError(f"t={t} out of range for {family} with q={q}")
+    if k is None:
+        return
+    if k not in ks:
+        raise ParameterError(f"k={k} out of range 1..{max(ks)} for {family} with q={q}, t={t}")
+    if ks[k]:
+        raise ExcludedParameters(
+            f"{family} with q={q}, t={t}, k={k} is excluded: no construction "
+            "in even characteristic with t = k = q-1 (quantum distance q)"
+        )
+
+
 # ----------------------------------------------------------------------
 # Additive-coset point design (length tq)
 # ----------------------------------------------------------------------
@@ -86,9 +130,7 @@ class AdditiveCosetDesign:
     each coset by the canonical GF(q) order."""
 
     def __init__(self, field: FieldTower, t: int):
-        q = field.q
-        if not 1 <= t <= q:
-            raise ParameterError(f"t={t} out of range 1..{q}")
+        check_admissible(field.q, FAMILY_ADDITIVE, t)
         self.field = field
         self.t = t
         self.alpha: Element = field.generator
@@ -101,7 +143,7 @@ class AdditiveCosetDesign:
             shift = field.mul(beta, self.alpha)
             pts.extend(field.add(x, shift) for x in sub)
         self.points: Tuple[Element, ...] = tuple(pts)
-        if len(set(self.points)) != t * q:
+        if len(set(self.points)) != t * field.q:
             raise RuntimeError("coset points are not distinct")
 
     @property
@@ -171,28 +213,21 @@ def additive_coset_code(
     q: int, t: int, k: int, element_bound: int = DEFAULT_ELEMENT_BOUND
 ) -> ConstructionResult:
     """Hermitian self-orthogonal [tq, k, tq-k+1] GRS code and the derived
-    [[tq, tq-2k, k+1]]_q parameters, for 1 <= t <= q and
-    1 <= k <= floor((tq+q-1)/(q+1))."""
+    [[tq, tq-2k, k+1]]_q parameters, for (t, k) on the additive family's
+    grid."""
     field = field_for_prime_power(q, element_bound)
-    if not 1 <= t <= q:
-        raise ParameterError(f"t={t} out of range 1..{q}")
-    bound = dimension_bound(q, t)
-    if not 1 <= k <= bound:
-        raise ParameterError(f"k={k} out of range 1..{bound} for q={q}, t={t}")
+    check_admissible(q, FAMILY_ADDITIVE, t, k)
     return _additive_code_any_k(field, t, k)
 
 
 def _additive_code_any_k(field: FieldTower, t: int, k: int) -> ConstructionResult:
     # No dimension-bound check: the verifier's probe uses this to examine
     # what happens just past the admissible range.
-    q = field.q
     design = AdditiveCosetDesign(field, t)
     w = [design.w(i) for i in range(design.n)]
     v = tuple(field.solve_norm(design.subfield_unit(i)) for i in range(design.n))
     code = GRSCode(field, design.points, v, k)
-    quantum = QuantumParams(
-        n=t * q, k=t * q - 2 * k, d=k + 1, q=q, provenance=PROVENANCE_ADDITIVE
-    )
+    quantum = QuantumParams.from_classical(code.length, k, field.q, PROVENANCE_ADDITIVE)
     return ConstructionResult(code=code, quantum=quantum, witnesses={"w": w})
 
 
@@ -209,8 +244,7 @@ class MultiplicativeCosetDesign:
 
     def __init__(self, field: FieldTower, t: int):
         q = field.q
-        if not 1 <= t <= q - 1:
-            raise ParameterError(f"t={t} out of range 1..{q - 1}")
+        check_admissible(q, FAMILY_EXTENDED, t)
         self.field = field
         self.t = t
         self.theta: Element = field.root_of_unity(q + 1)
@@ -276,42 +310,36 @@ class MultiplicativeCosetDesign:
         return tuple(F.solve_norm(F.neg(self.w(i))) for i in range(self.n))
 
 
+def special_scaling_poly(field: FieldTower) -> Poly:
+    """x**q + x - pi with pi = generator outside GF(q): a**q + a lies in
+    GF(q) for every a, so the polynomial vanishes nowhere on the field."""
+    q = field.q
+    return Poly(field, [field.neg(field.generator), 1] + [0] * (q - 2) + [1])
+
+
 def select_scaling_poly(design: MultiplicativeCosetDesign, k: int) -> Poly:
     """Monic polynomial of degree t+1-k that vanishes at no evaluation point.
 
     Degree >= 2: the first root-free monic polynomial.  Degree 1: x minus
     the first unused field element (one exists since the points do not
     exhaust the field when t < q-1).  Degree 0: the constant 1.  The corner
-    (t, k) = (q-1, q-1) uses x**q + x - pi with pi outside GF(q), whose
-    values a**q + a - pi stay nonzero on the whole field; it needs odd
+    (t, k) = (q-1, q-1) uses special_scaling_poly; it needs odd
     characteristic.
     """
     F = design.field
     q, t = F.q, design.t
-    if not 1 <= k <= t + 1:
-        raise ParameterError(f"k={k} out of range 1..{t + 1}")
+    check_admissible(q, FAMILY_EXTENDED, t, k)
+    ell = t + 1 - k
     if (t, k) == (q - 1, q - 1):
-        if F.p == 2:
-            raise ExcludedParameters(
-                f"no construction for even characteristic with t=q-1={t} and "
-                f"k=q-1={k} (quantum distance d=q={q})"
-            )
-        pi = F.generator
-        coeffs = [0] * (q + 1)
-        coeffs[0] = F.neg(pi)
-        coeffs[1] = F.add(coeffs[1], 1)
-        coeffs[q] = F.add(coeffs[q], 1)
-        m = Poly(F, coeffs)
+        m = special_scaling_poly(F)
+    elif ell == 0:
+        m = Poly.one(F)
+    elif ell == 1:
+        used = set(design.points)
+        spare = next(x for x in F.elements() if x not in used)
+        m = Poly(F, (F.neg(spare), 1))
     else:
-        ell = t + 1 - k
-        if ell == 0:
-            m = Poly.one(F)
-        elif ell == 1:
-            used = set(design.points)
-            spare = next(x for x in F.elements() if x not in used)
-            m = Poly(F, (F.neg(spare), 1))
-        else:
-            m = root_free_monic(F, ell)
+        m = root_free_monic(F, ell)
     if any(m(a) == 0 for a in design.points):
         raise RuntimeError("scaling polynomial vanishes at an evaluation point")
     return m
@@ -322,32 +350,21 @@ def multiplicative_coset_code(
 ) -> ConstructionResult:
     """Hermitian self-orthogonal extended GRS code with parameters
     [t(q+1)+2, k, t(q+1)+3-k] and the derived
-    [[t(q+1)+2, t(q+1)-2k+2, k+1]]_q parameters, for 1 <= t <= q-1 and
-    1 <= k <= t+1, excluding even characteristic with (t, k) = (q-1, q-1)."""
+    [[t(q+1)+2, t(q+1)-2k+2, k+1]]_q parameters, for (t, k) on the
+    extended family's grid."""
     field = field_for_prime_power(q, element_bound)
-    if not 1 <= t <= q - 1:
-        raise ParameterError(f"t={t} out of range 1..{q - 1}")
-    if not 1 <= k <= t + 1:
-        raise ParameterError(f"k={k} out of range 1..{t + 1} for t={t}")
+    check_admissible(q, FAMILY_EXTENDED, t, k)
     design = MultiplicativeCosetDesign(field, t)
-    m = select_scaling_poly(design, k)  # raises on the excluded corner
+    m = select_scaling_poly(design, k)
     gamma = design.gamma()
-    special = (t, k) == (q - 1, q - 1)
-    if special:
-        half = field.inv(field.from_int(2))
-        unit = field.solve_norm(half)
-        v = tuple(
-            field.mul(unit, field.mul(m(a), g)) for a, g in zip(design.points, gamma)
-        )
+    v = tuple(field.mul(m(a), g) for a, g in zip(design.points, gamma))
+    provenance = PROVENANCE_EXTENDED
+    if (t, k) == (q - 1, q - 1):
+        unit = field.solve_norm(field.inv(field.from_int(2)))
+        v = tuple(field.mul(unit, x) for x in v)
         provenance = PROVENANCE_EXTENDED_SPECIAL
-    else:
-        v = tuple(field.mul(m(a), g) for a, g in zip(design.points, gamma))
-        provenance = PROVENANCE_EXTENDED
     code = GRSCode(field, design.points, v, k, extended=True)
-    length = t * (q + 1) + 2
-    quantum = QuantumParams(
-        n=length, k=length - 2 * k, d=k + 1, q=q, provenance=provenance
-    )
+    quantum = QuantumParams.from_classical(code.length, k, q, provenance)
     witnesses = {
         "w": [design.w(i) for i in range(design.n)],
         "m_coeffs": list(m.coeffs),
@@ -362,15 +379,6 @@ def quantum_params_for_distance(
     """The extended-family construction parameterized by quantum distance d:
     [[t(q+1)+2, t(q+1)-2d+4, d]]_q via classical dimension k = d-1.
     Excluded: even characteristic with (t, d) = (q-1, q)."""
-    field = field_for_prime_power(q, element_bound)
-    if not 1 <= t <= q - 1:
-        raise ParameterError(f"t={t} out of range 1..{q - 1}")
-    if not 2 <= d <= t + 2:
-        raise ParameterError(f"d={d} out of range 2..{t + 2} for t={t}")
-    if field.p == 2 and t == q - 1 and d == q:
-        raise ExcludedParameters(
-            f"no construction for even characteristic with t=q-1={t} and d=q={q}"
-        )
     return multiplicative_coset_code(q, t, d - 1, element_bound)
 
 
@@ -385,9 +393,8 @@ def derive_quantum(code, provenance: str, check_mds: bool = True) -> QuantumPara
     ok, witness = is_hermitian_self_orthogonal(code)
     if not ok:
         raise ValueError(f"code is not Hermitian self-orthogonal: witness {witness}")
-    q = code.field.q
     N = code.length
-    k = _dim_of(code)
+    k = code.k if isinstance(code, GRSCode) else code.dim
     if check_mds and not isinstance(code, GRSCode) and k:
         from .grs import CapExceeded, is_mds_by_rank, min_distance_bruteforce
 
@@ -401,15 +408,7 @@ def derive_quantum(code, provenance: str, check_mds: bool = True) -> QuantumPara
                 raise ValueError("cannot certify the MDS premise") from exc
         if not mds:
             raise ValueError("code is not MDS")
-    return QuantumParams(
-        n=N, k=N - 2 * k, d=k + 1, q=q, provenance=provenance, degenerate=(k == 0)
-    )
-
-
-def _dim_of(code) -> int:
-    if isinstance(code, GRSCode):
-        return code.k
-    return code.dim
+    return QuantumParams.from_classical(N, k, code.field.q, provenance)
 
 
 def reconstruct_multipliers(result: ConstructionResult) -> Tuple[Element, ...]:

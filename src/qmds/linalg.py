@@ -68,22 +68,6 @@ def nullspace(
     return basis
 
 
-def mat_mul(
-    field: FieldTower, a: Sequence[Sequence[Element]], b: Sequence[Sequence[Element]]
-) -> Matrix:
-    out: Matrix = []
-    for row in a:
-        out_row = []
-        for j in range(len(b[0])):
-            acc: Element = 0
-            for x, brow in zip(row, b):
-                if x and brow[j]:
-                    acc = field.add(acc, field.mul(x, brow[j]))
-            out_row.append(acc)
-        out.append(out_row)
-    return out
-
-
 def same_row_space(
     field: FieldTower,
     a: Sequence[Sequence[Element]],

@@ -36,7 +36,7 @@ def field_from_obj(obj: dict, element_bound: int = DEFAULT_ELEMENT_BOUND) -> Fie
         p = int(obj["p"])
         e = int(obj["e"])
         modulus = [int(c) for c in obj["modulus"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"malformed field description: {exc}") from exc
     try:
         field = make_field(p, e, element_bound)
@@ -72,7 +72,7 @@ def code_from_obj(obj: dict, element_bound: int = DEFAULT_ELEMENT_BOUND) -> GRSC
         v = tuple(int(x) for x in obj["v"])
         k = int(obj["k"])
         extended = bool(obj.get("extended", False))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"malformed code description: {exc}") from exc
     try:
         return GRSCode(field, a, v, k, extended)
@@ -84,7 +84,7 @@ def result_to_obj(result: ConstructionResult) -> dict:
     obj = code_to_obj(result.code)
     obj["generator"] = [list(r) for r in generator_matrix(result.code)]
     qp = result.quantum
-    obj["quantum"] = {"n": qp.n, "k": qp.k, "d": qp.d, "q": qp.q}
+    obj["quantum"] = qp.as_dict()
     obj["provenance"] = qp.provenance
     obj["witnesses"] = {key: list(val) for key, val in result.witnesses.items()}
     return obj
@@ -98,18 +98,21 @@ def load_code(path: str, element_bound: int = DEFAULT_ELEMENT_BOUND) -> GRSCode:
     """Parse a code file; raises FormatError for schema or invariant
     violations and OSError for filesystem problems."""
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"malformed JSON: {exc}") from exc
+        try:
+            obj = json.loads(fh.read())
+        except (ValueError, RecursionError) as exc:  # bad UTF-8, JSON or integer literal
+            raise FormatError(f"malformed JSON: {exc}") from exc
     return code_from_obj(obj, element_bound)
 
 
-def save(obj: dict, destination: Union[str, IO[str]]) -> None:
-    payload = dumps(obj)
+def write_payload(payload: str, destination: Union[str, IO[str]]) -> None:
+    """Write text to an open stream, or to the file at a path."""
     if hasattr(destination, "write"):
         destination.write(payload)
     else:
         with open(destination, "w", encoding="utf-8", newline="") as fh:
             fh.write(payload)
+
+
+def save(obj: dict, destination: Union[str, IO[str]]) -> None:
+    write_payload(dumps(obj), destination)

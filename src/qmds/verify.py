@@ -12,6 +12,7 @@ construction is recorded as such).
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import random
@@ -20,15 +21,21 @@ from dataclasses import dataclass
 from typing import IO, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .construct import (
+    FAMILY_ADDITIVE,
+    FAMILY_EXTENDED,
     ConstructionResult,
     PROVENANCE_ADDITIVE,
     AdditiveCosetDesign,
     MultiplicativeCosetDesign,
+    ParameterError,
+    QuantumParams,
     _additive_code_any_k,
     additive_coset_code,
     dimension_bound,
+    grid,
     multiplicative_coset_code,
     reconstruct_multipliers,
+    special_scaling_poly,
 )
 from .field import DEFAULT_ELEMENT_BOUND, FieldTower, field_for_prime_power, make_field
 from .grs import (
@@ -46,15 +53,15 @@ from .grs import (
     is_mds_by_rank,
     min_distance_bruteforce,
     nullspace_dual,
+    w_vector,
 )
 from .linalg import same_row_space
 from .poly import Poly, root_free_monic
+from .serialize import write_payload
 
 #: Default q values covered by a sweep.
 DEFAULT_SWEEP_Q = (2, 3, 4, 5, 7, 8, 9)
 
-FAMILY_ADDITIVE = "theorem1"
-FAMILY_EXTENDED = "theorem2"
 FAMILIES = (FAMILY_ADDITIVE, FAMILY_EXTENDED, "both")
 
 STATUS_OK = "ok"
@@ -125,45 +132,16 @@ def construction_identity(result: ConstructionResult) -> str:
     return f"{result.quantum.provenance} q={q} t={t} k={code.k}"
 
 
-def verify_construction(
-    result: ConstructionResult,
-    brute_cap: int = BRUTE_FORCE_CAP,
-    rank_cap: int = RANK_TEST_CAP,
-) -> VerificationReport:
-    """Re-check everything a construction claims: exact Hermitian
-    self-orthogonality, the MDS distance via the ladder, witness
-    consistency, and that the quantum parameters match the classical code
-    with the Singleton bound met with equality."""
-    start = time.perf_counter()
-    code = result.code
-    ok, witness = is_hermitian_self_orthogonal(code)
-    method, measured, mds = distance_ladder(code, brute_cap, rank_cap)
-    qp = result.quantum
-    singleton = (
-        qp.k == qp.n - 2 * qp.d + 2
-        and qp.n == code.length
-        and qp.d == code.k + 1
-        and reconstruct_multipliers(result) == code.v
-    )
-    return VerificationReport(
-        identity=construction_identity(result),
-        hermitian_self_orthogonal=ok,
-        hermitian_witness=witness,
-        distance_method=method,
-        measured_distance=measured,
-        mds=mds,
-        singleton_equality=singleton,
-        elapsed=time.perf_counter() - start,
-    )
-
-
 def verify_code(
     code: GRSCode,
     identity: str = "code",
     brute_cap: int = BRUTE_FORCE_CAP,
     rank_cap: int = RANK_TEST_CAP,
 ) -> VerificationReport:
-    """Verification of a bare GRS code (e.g. parsed from a file)."""
+    """Exact Hermitian self-orthogonality and the MDS distance via the
+    ladder, for a bare GRS code (e.g. parsed from a file).  Its quantum
+    parameters are derived from the code, so the Singleton bound is met
+    with equality by definition."""
     start = time.perf_counter()
     ok, witness = is_hermitian_self_orthogonal(code)
     method, measured, mds = distance_ladder(code, brute_cap, rank_cap)
@@ -174,9 +152,24 @@ def verify_code(
         distance_method=method,
         measured_distance=measured,
         mds=mds,
-        singleton_equality=True,  # derived params saturate the bound by definition
+        singleton_equality=True,
         elapsed=time.perf_counter() - start,
     )
+
+
+def verify_construction(
+    result: ConstructionResult,
+    brute_cap: int = BRUTE_FORCE_CAP,
+    rank_cap: int = RANK_TEST_CAP,
+) -> VerificationReport:
+    """verify_code plus the bookkeeping a construction claims: its quantum
+    parameters are the ones the classical code gives, and its witnesses
+    reproduce the multipliers."""
+    code, qp = result.code, result.quantum
+    report = verify_code(code, construction_identity(result), brute_cap, rank_cap)
+    derived = QuantumParams.from_classical(code.length, code.k, code.field.q, qp.provenance)
+    bookkeeping = qp == derived and reconstruct_multipliers(result) == code.v
+    return dataclasses.replace(report, singleton_equality=bookkeeping)
 
 
 # ----------------------------------------------------------------------
@@ -215,57 +208,26 @@ def sweep(
     appear as explicit rows rather than silent gaps.  Output is a pure
     function of the arguments."""
     if family not in FAMILIES:
-        raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
+        raise ParameterError(f"family must be one of {FAMILIES}, got {family!r}")
+    families = (FAMILY_ADDITIVE, FAMILY_EXTENDED) if family == "both" else (family,)
     rows: List[SweepRow] = []
     for q in q_list:
-        field = field_for_prime_power(q, element_bound)
-        if family in (FAMILY_ADDITIVE, "both"):
-            for t in range(1, q + 1):
-                for k in range(1, dimension_bound(q, t) + 1):
-                    res = additive_coset_code(q, t, k, element_bound)
-                    report = verify_construction(res, brute_cap, rank_cap)
-                    rows.append(
-                        _row_from_result(res, t, FAMILY_ADDITIVE, report.passed)
-                    )
-        if family in (FAMILY_EXTENDED, "both"):
-            for t in range(1, q):
-                for k in range(1, t + 2):
-                    length = t * (q + 1) + 2
-                    if field.p == 2 and (t, k) == (q - 1, q - 1):
-                        rows.append(
-                            SweepRow(
-                                q=q, t=t, k=k, family=FAMILY_EXTENDED,
-                                N=length, K=k, D=length - k + 1,
-                                n=length, kq=length - 2 * k, d=k + 1,
-                                status=STATUS_EXCLUDED,
-                            )
-                        )
-                        continue
-                    res = multiplicative_coset_code(q, t, k, element_bound)
-                    report = verify_construction(res, brute_cap, rank_cap)
-                    rows.append(
-                        _row_from_result(res, t, FAMILY_EXTENDED, report.passed)
-                    )
+        field_for_prime_power(q, element_bound)  # rejects q before any row
+        for fam in families:
+            build = additive_coset_code if fam == FAMILY_ADDITIVE else multiplicative_coset_code
+            for t, k, excluded in grid(q, fam):
+                if excluded:
+                    length, status = t * (q + 1) + 2, STATUS_EXCLUDED
+                else:
+                    res = build(q, t, k, element_bound)
+                    passed = verify_construction(res, brute_cap, rank_cap).passed
+                    length, status = res.code.length, STATUS_OK if passed else STATUS_FAIL
+                qp = QuantumParams.from_classical(length, k, q, fam)
+                rows.append(SweepRow(
+                    q=q, t=t, k=k, family=fam, N=length, K=k, D=length - k + 1,
+                    n=qp.n, kq=qp.k, d=qp.d, status=status,
+                ))
     return rows
-
-
-def _row_from_result(
-    res: ConstructionResult, t: int, family: str, passed: bool
-) -> SweepRow:
-    code = res.code
-    return SweepRow(
-        q=res.quantum.q,
-        t=t,
-        k=code.k,
-        family=family,
-        N=code.length,
-        K=code.k,
-        D=code.length - code.k + 1,
-        n=res.quantum.n,
-        kq=res.quantum.k,
-        d=res.quantum.d,
-        status=STATUS_OK if passed else STATUS_FAIL,
-    )
 
 
 def rows_to_csv(rows: Iterable[SweepRow]) -> str:
@@ -279,23 +241,12 @@ def rows_to_json(rows: Iterable[SweepRow]) -> str:
     return json.dumps([row.as_dict() for row in rows], indent=2) + "\n"
 
 
-def rows_from_json(text: str) -> List[SweepRow]:
-    return [SweepRow(**obj) for obj in json.loads(text)]
-
-
 def emit(rows: Sequence[SweepRow], fmt: str, destination: Union[str, IO[str]]) -> None:
     """Write rows in the given format ("csv" or "json"); bit-stable output."""
-    if fmt == "csv":
-        payload = rows_to_csv(rows)
-    elif fmt == "json":
-        payload = rows_to_json(rows)
-    else:
+    formats = {"csv": rows_to_csv, "json": rows_to_json}
+    if fmt not in formats:
         raise ValueError(f"unknown format {fmt!r}")
-    if hasattr(destination, "write"):
-        destination.write(payload)
-    else:
-        with open(destination, "w", encoding="utf-8", newline="") as fh:
-            fh.write(payload)
+    write_payload(formats[fmt](rows), destination)
 
 
 # ----------------------------------------------------------------------
@@ -435,16 +386,9 @@ def _suite_additive_products(field: FieldTower) -> SuiteResult:
     sub = field.subfield_elements()
     cases = 0
     passed = True
-
-    def brute(pts, i):
-        acc = 1
-        for j, x in enumerate(pts):
-            if j != i:
-                acc = field.mul(acc, field.sub(pts[i], x))
-        return acc
-
-    for t in range(1, q + 1):
+    for t in sorted({t for t, _, _ in grid(q, FAMILY_ADDITIVE)}):
         design = AdditiveCosetDesign(field, t)
+        brute_w = w_vector(field, design.points)
         for tau in sub:
             acc = 1
             for h in sub:
@@ -476,11 +420,7 @@ def _suite_additive_products(field: FieldTower) -> SuiteResult:
         for i in range(design.n):
             cases += 1
             unit = design.subfield_unit(i)
-            if (
-                brute(design.points, i) != design.difference_product(i)
-                or unit == 0
-                or not field.in_subfield(unit)
-            ):
+            if brute_w[i] != design.w(i) or unit == 0 or not field.in_subfield(unit):
                 passed = False
     return SuiteResult("additive-coset-products", cases, passed)
 
@@ -489,17 +429,14 @@ def _suite_multiplicative_products(field: FieldTower) -> SuiteResult:
     q = field.q
     cases = 0
     passed = True
-    for t in range(1, q):
+    for t in sorted({t for t, _, _ in grid(q, FAMILY_EXTENDED)}):
         design = MultiplicativeCosetDesign(field, t)
         gamma = design.gamma()
+        brute_w = w_vector(field, design.points)
         for i in range(design.n):
-            acc = 1
-            for j, x in enumerate(design.points):
-                if j != i:
-                    acc = field.mul(acc, field.sub(design.points[i], x))
             closed = design.difference_product(i)
             cases += 1
-            if acc != closed or not field.in_subfield(closed):
+            if brute_w[i] != field.inv(closed) or not field.in_subfield(closed):
                 passed = False
             cases += 1
             if gamma[i] == 0 or field.norm(gamma[i]) != field.neg(design.w(i)):
@@ -559,11 +496,7 @@ def _suite_special_multiplier(field: FieldTower) -> SuiteResult:
     the special-case multiplier relies on, vanishes mod 2)."""
     q = field.q
     pi = field.generator
-    coeffs = [0] * (q + 1)
-    coeffs[0] = field.neg(pi)
-    coeffs[1] = 1
-    coeffs[q] = field.add(coeffs[q], 1)
-    m = Poly(field, coeffs)
+    m = special_scaling_poly(field)
     two = field.from_int(2)
     pi_trace = field.add(pi, field.frobenius(pi))
     cases = 0

@@ -12,13 +12,14 @@ import time
 
 from qmds.cli import main as cli_main
 from qmds.construct import (
+    FAMILY_ADDITIVE,
+    FAMILY_EXTENDED,
     additive_coset_code,
     derive_quantum,
-    dimension_bound,
+    grid,
     multiplicative_coset_code,
     quantum_params_for_distance,
 )
-from qmds.field import field_for_prime_power
 from qmds.grs import (
     BRUTE_FORCE_CAP,
     RANK_TEST_CAP,
@@ -42,27 +43,17 @@ def _report(number, label):
     print(f"ACCEPTANCE {number} {label}: PASS")
 
 
-def _additive_grid():
+def _admissible(family):
     for q in SWEEP_Q:
-        for t in range(1, q + 1):
-            for k in range(1, dimension_bound(q, t) + 1):
-                yield q, t, k
-
-
-def _extended_grid():
-    for q in SWEEP_Q:
-        field = field_for_prime_power(q)
-        for t in range(1, q):
-            for k in range(1, t + 2):
-                if field.p == 2 and (t, k) == (q - 1, q - 1):
-                    continue
+        for t, k, excluded in grid(q, family):
+            if not excluded:
                 yield q, t, k
 
 
 def test_criterion_1_additive_family_exact_self_orthogonality():
     start = time.perf_counter()
     checked = 0
-    for q, t, k in _additive_grid():
+    for q, t, k in _admissible(FAMILY_ADDITIVE):
         res = additive_coset_code(q, t, k)
         ok, witness = is_hermitian_self_orthogonal(res.code)
         assert ok, f"q={q} t={t} k={k}: witness {witness}"
@@ -76,7 +67,7 @@ def test_criterion_2_extended_family_exact_self_orthogonality():
     start = time.perf_counter()
     checked = 0
     special = 0
-    for q, t, k in _extended_grid():
+    for q, t, k in _admissible(FAMILY_EXTENDED):
         res = multiplicative_coset_code(q, t, k)
         ok, witness = is_hermitian_self_orthogonal(res.code)
         assert ok, f"q={q} t={t} k={k}: witness {witness}"
@@ -123,9 +114,9 @@ def test_criterion_3_named_instances_reproduce():
 def test_criterion_4_distance_oracles():
     brute_checked = 0
     rank_checked = 0
-    for family, grid in (("additive", _additive_grid()), ("extended", _extended_grid())):
-        for q, t, k in grid:
-            if family == "additive":
+    for family in (FAMILY_ADDITIVE, FAMILY_EXTENDED):
+        for q, t, k in _admissible(family):
+            if family == FAMILY_ADDITIVE:
                 res = additive_coset_code(q, t, k)
             else:
                 res = multiplicative_coset_code(q, t, k)

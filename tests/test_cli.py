@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -274,3 +275,81 @@ def test_element_bound_env(monkeypatch, capsys):
     rc, _, err = run(capsys, ["construct", "theorem1", "--q", "3", "--t", "1", "--k", "1"])
     assert rc == 2
     assert "QMDS_ELEMENT_BOUND" in err
+
+
+def test_element_bound_outside_its_range_exits_2(monkeypatch, capsys):
+    argv = ["construct", "theorem1", "--q", "3", "--t", "1", "--k", "1"]
+    for bound in ("3", str(2 ** 16 + 1), "-1"):
+        rc, out, err = run(capsys, ["--element-bound", bound] + argv)
+        assert (rc, out) == (2, "")
+        assert "element bound" in err
+        monkeypatch.setenv("QMDS_ELEMENT_BOUND", bound)
+        rc, out, err = run(capsys, argv)
+        assert (rc, out) == (2, "")
+        monkeypatch.delenv("QMDS_ELEMENT_BOUND")
+    rc, _, _ = run(capsys, ["--element-bound", "4", "construct", "theorem1", "--q", "2", "--t", "1", "--k", "1"])
+    assert rc == 0
+
+
+# ----------------------------------------------------------------------
+# huge or malformed input is rejected at the edge
+# ----------------------------------------------------------------------
+
+MERSENNE_61 = 2 ** 61 - 1  # prime: factoring it by trial division never ends
+
+
+def test_huge_q_exits_2_before_factoring(capsys):
+    start = time.perf_counter()
+    rc, out, err = run(capsys, ["construct", "theorem1", "--q", str(MERSENNE_61), "--t", "1", "--k", "1"])
+    assert time.perf_counter() - start < 1.0
+    assert (rc, out) == (2, "")
+    assert "bound" in err
+
+
+def test_huge_prime_in_a_code_file_exits_2_before_factoring(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(
+        {"field": {"p": MERSENNE_61, "e": 1, "modulus": [1]}, "a": [0], "v": [1], "k": 1}
+    ))
+    start = time.perf_counter()
+    rc, out, err = run(capsys, ["verify", str(path)])
+    assert time.perf_counter() - start < 1.0
+    assert (rc, out) == (2, "")
+    assert "bound" in err
+
+
+@pytest.mark.parametrize("patch", [
+    {"k": 1e999},
+    {"a": [1e999]},
+    {"field": {"p": 3, "e": 1e999, "modulus": [1, 0, 1]}},
+])
+def test_infinite_numbers_in_a_code_file_exit_2(tmp_path, capsys, patch):
+    obj = {"field": {"p": 3, "e": 1, "modulus": [1, 0, 1]}, "a": [0, 1], "v": [1, 1], "k": 1}
+    obj.update(patch)
+    path = tmp_path / "inf.json"
+    path.write_text(json.dumps(obj))  # writes the literal Infinity
+    rc, out, err = run(capsys, ["verify", str(path)])
+    assert (rc, out) == (2, "")
+    assert "invalid parameters" in err
+
+
+def test_undecodable_code_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"k": "\xff"}')
+    rc, out, _ = run(capsys, ["verify", str(path)])
+    assert (rc, out) == (2, "")
+
+
+# ----------------------------------------------------------------------
+# internal errors are told apart from bad input and failed verification
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("exc", [RuntimeError("boom"), ValueError("stray")])
+def test_internal_error_exits_4(monkeypatch, capsys, exc):
+    def broken(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr("qmds.cli.verify_construction", broken)
+    rc, out, err = run(capsys, ["construct", "theorem1", "--q", "3", "--t", "1", "--k", "1"])
+    assert (rc, out) == (4, "")
+    assert f"internal error: {type(exc).__name__}: {exc}" in err

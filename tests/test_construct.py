@@ -3,6 +3,8 @@ import random
 import pytest
 
 from qmds.construct import (
+    FAMILY_ADDITIVE,
+    FAMILY_EXTENDED,
     AdditiveCosetDesign,
     ExcludedParameters,
     MultiplicativeCosetDesign,
@@ -11,6 +13,7 @@ from qmds.construct import (
     additive_coset_code,
     derive_quantum,
     dimension_bound,
+    grid,
     multiplicative_coset_code,
     quantum_params_for_distance,
     reconstruct_multipliers,
@@ -123,6 +126,24 @@ def test_additive_single_coset_reduces_to_sign():
 # additive-coset construction
 # ----------------------------------------------------------------------
 
+def test_grid_over_the_default_q_set():
+    rows = [
+        (q, family, t, k, excluded)
+        for q in SWEEP_Q
+        for family in (FAMILY_ADDITIVE, FAMILY_EXTENDED)
+        for t, k, excluded in grid(q, family)
+    ]
+    assert len(rows) == 272
+    assert [(q, family, t, k) for q, family, t, k, excluded in rows if excluded] == [
+        (q, FAMILY_EXTENDED, q - 1, q - 1) for q in (2, 4, 8)
+    ]
+    assert list(grid(3, FAMILY_ADDITIVE)) == [
+        (1, 1, False), (2, 1, False), (2, 2, False), (3, 1, False), (3, 2, False)
+    ]
+    with pytest.raises(ParameterError):
+        list(grid(3, "theorem3"))
+
+
 def test_dimension_bound_values():
     assert dimension_bound(3, 3) == 2
     assert dimension_bound(4, 4) == 3
@@ -146,11 +167,11 @@ def test_additive_construction_full_length_q4():
 
 
 def test_additive_construction_rejects_out_of_range():
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="out of range"):
         additive_coset_code(3, 3, 3)  # k exceeds floor(11/4) = 2
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="out of range"):
         additive_coset_code(3, 4, 1)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="out of range"):
         additive_coset_code(3, 0, 1)
 
 
@@ -344,11 +365,11 @@ def test_extended_construction_special_case():
 
 
 def test_extended_construction_rejections():
-    with pytest.raises(ExcludedParameters):
+    with pytest.raises(ExcludedParameters, match="excluded"):
         multiplicative_coset_code(4, 3, 3)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="out of range"):
         multiplicative_coset_code(3, 3, 1)  # t > q-1
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="out of range"):
         multiplicative_coset_code(3, 2, 4)  # k > t+1
 
 
@@ -423,14 +444,11 @@ def test_quantum_params_enforce_singleton_equality():
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_all_emitted_parameters_saturate_the_quantum_singleton_bound(q):
-    for t in range(1, q + 1):
-        for k in range(1, dimension_bound(q, t) + 1):
-            qp = additive_coset_code(q, t, k).quantum
-            assert qp.k == qp.n - 2 * qp.d + 2
-    F = field_for_prime_power(q)
-    for t in range(1, q):
-        for k in range(1, t + 2):
-            if F.p == 2 and (t, k) == (q - 1, q - 1):
-                continue
-            qp = multiplicative_coset_code(q, t, k).quantum
-            assert qp.k == qp.n - 2 * qp.d + 2
+    for family, build in (
+        (FAMILY_ADDITIVE, additive_coset_code),
+        (FAMILY_EXTENDED, multiplicative_coset_code),
+    ):
+        for t, k, excluded in grid(q, family):
+            if not excluded:
+                qp = build(q, t, k).quantum
+                assert qp.k == qp.n - 2 * qp.d + 2

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmds import serialize
 from qmds.construct import additive_coset_code, multiplicative_coset_code
@@ -74,3 +76,53 @@ def test_elements_serialize_as_canonical_integers():
     obj = serialize.code_to_obj(code)
     assert obj["a"] == [0, 1, 2, 3]
     assert obj["v"] == [1, 2, 3, 1]
+
+
+# ----------------------------------------------------------------------
+# fuzzing: any JSON value parses to a code or raises FormatError
+# ----------------------------------------------------------------------
+
+FUZZ_BOUND = 16  # at most GF(16): every field the fuzzer reaches builds fast
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=10,
+)
+small_ints = st.integers(min_value=-1, max_value=17)
+# numbers json.loads yields for 1e999, NaN and a 2**61-1 literal, and strings int() accepts
+edge_cases = st.sampled_from([float("inf"), float("-inf"), float("nan"), 2 ** 61 - 1, "3", " 2 "])
+values = small_ints | edge_cases | json_values | st.lists(small_ints | edge_cases, max_size=6)
+base_codes = st.sampled_from([
+    serialize.code_to_obj(GRSCode(make_field(2, 1), (0, 1, 2), (1, 2, 3), 2)),
+    serialize.code_to_obj(GRSCode(make_field(3, 1), (0, 1, 2, 3), (1, 2, 3, 4), 3, True)),
+    serialize.code_to_obj(GRSCode(make_field(2, 2), (0, 5, 9, 15), (1, 1, 1, 1), 1)),
+])
+
+
+def _patched(base, patch, field_patch):
+    obj = {**base, **patch}
+    if isinstance(obj["field"], dict):
+        obj["field"] = {**obj["field"], **field_patch}
+    return obj
+
+
+# valid code files with up to two top-level and two field entries replaced
+code_like = st.builds(
+    _patched,
+    base_codes,
+    st.dictionaries(st.sampled_from(["field", "a", "v", "k", "extended"]), values, max_size=2),
+    st.dictionaries(st.sampled_from(["p", "e", "modulus"]), values, max_size=2),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(code_like, json_values)
+def test_code_from_obj_returns_a_code_or_raises_format_error(patched, arbitrary):
+    for obj in (patched, arbitrary):
+        try:
+            code = serialize.code_from_obj(obj, element_bound=FUZZ_BOUND)
+        except serialize.FormatError:
+            continue
+        assert isinstance(code, GRSCode)
+        assert code.field.order <= FUZZ_BOUND

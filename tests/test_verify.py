@@ -1,10 +1,13 @@
+import dataclasses
 import io
+import json
 import random
 
 import pytest
 
 from qmds.construct import (
     ConstructionResult,
+    ParameterError,
     additive_coset_code,
     multiplicative_coset_code,
 )
@@ -19,7 +22,6 @@ from qmds.verify import (
     five_one_five_search,
     identity_suites,
     probe_dimension_bound,
-    rows_from_json,
     rows_to_csv,
     rows_to_json,
     sweep,
@@ -76,6 +78,38 @@ def test_verify_detects_tampered_code():
     assert not report.passed
     assert not report.hermitian_self_orthogonal
     assert report.hermitian_witness is not None
+
+
+@pytest.mark.parametrize(
+    "build, key",
+    [
+        (lambda: additive_coset_code(3, 3, 2), "w"),
+        (lambda: multiplicative_coset_code(3, 2, 3), "gamma"),
+        (lambda: multiplicative_coset_code(5, 3, 2), "m_coeffs"),  # root-free, degree 2
+        (lambda: multiplicative_coset_code(3, 2, 2), "gamma"),  # special case
+    ],
+    ids=["additive-w", "extended-gamma", "extended-m_coeffs", "special-gamma"],
+)
+def test_verify_detects_a_tampered_witness_on_a_valid_code(build, key):
+    good = build()
+    F = good.code.field
+    witnesses = {name: list(val) for name, val in good.witnesses.items()}
+    # scaling by a subfield unit keeps w_i * span**(t-1) in GF(q), so the
+    # norm equation stays solvable and only its solution changes
+    witnesses[key][0] = F.mul(witnesses[key][0], F.norm(F.generator))
+    assert witnesses[key][0] != good.witnesses[key][0]
+    report = verify_construction(ConstructionResult(good.code, good.quantum, witnesses))
+    assert report.hermitian_self_orthogonal and report.mds  # the code is untouched
+    assert not report.singleton_equality
+    assert not report.passed
+
+
+def test_verify_detects_quantum_parameters_that_do_not_match_the_code():
+    good = additive_coset_code(3, 3, 2)
+    wrong = dataclasses.replace(good.quantum, n=11, k=7)  # still k = n - 2d + 2
+    report = verify_construction(ConstructionResult(good.code, wrong, good.witnesses))
+    assert report.hermitian_self_orthogonal and report.mds
+    assert not report.passed
 
 
 def test_verify_code_negative_control_with_witness():
@@ -156,10 +190,12 @@ def test_sweep_q2_contains_the_four_qubit_code():
 
 
 def test_sweep_rejects_bad_family_and_q():
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError):
         sweep([3], "other")
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError):
         sweep([6], "theorem1")
+    with pytest.raises(ParameterError):
+        sweep([1], "both")
 
 
 def test_sweep_is_a_pure_function():
@@ -182,7 +218,7 @@ def test_empty_emission_is_header_only():
 
 def test_json_round_trip():
     rows = sweep([2, 3], "both")
-    assert rows_from_json(rows_to_json(rows)) == rows
+    assert [SweepRow(**obj) for obj in json.loads(rows_to_json(rows))] == rows
 
 
 def test_emit_to_stream_and_file(tmp_path):
