@@ -387,7 +387,8 @@ def derive_quantum(code, provenance: str, check_mds: bool = True) -> QuantumPara
     MDS code over GF(q^2); raises if either premise fails.
 
     GRS codes are MDS by construction; a bare LinearCode gets a distance
-    check through the brute-force/rank ladder when check_mds is set.  The
+    check through `verify.distance_ladder` when check_mds is set, and is
+    refused when neither brute force nor the rank test fits its cap.  The
     k = 0 edge yields the degenerate [[N, N, 1]] parameters, flagged.
     """
     ok, witness = is_hermitian_self_orthogonal(code)
@@ -396,24 +397,22 @@ def derive_quantum(code, provenance: str, check_mds: bool = True) -> QuantumPara
     N = code.length
     k = code.k if isinstance(code, GRSCode) else code.dim
     if check_mds and not isinstance(code, GRSCode) and k:
-        from .grs import CapExceeded, is_mds_by_rank, min_distance_bruteforce
+        from .verify import distance_ladder
 
-        try:
-            dist = min_distance_bruteforce(code)
-            mds = dist == N - k + 1
-        except CapExceeded:
-            try:
-                mds = is_mds_by_rank(code)
-            except CapExceeded as exc:
-                raise ValueError("cannot certify the MDS premise") from exc
+        method, _, mds = distance_ladder(code)
+        if method == "by-construction":
+            raise ValueError("cannot certify the MDS premise")
         if not mds:
             raise ValueError("code is not MDS")
     return QuantumParams.from_classical(N, k, code.field.q, provenance)
 
 
-def reconstruct_multipliers(result: ConstructionResult) -> Tuple[Element, ...]:
+def reconstruct_multipliers(result: ConstructionResult) -> Optional[Tuple[Element, ...]]:
     """Recompute the code's multipliers from the recorded witnesses; equality
-    with code.v is the witness-consistency invariant."""
+    with code.v is the witness-consistency invariant.  None when a `w`
+    witness of the additive family leaves no norm equation to solve
+    (w_i * (alpha^q - alpha)^(t-1) is zero or outside GF(q)), so no
+    multipliers can be reproduced."""
     code = result.code
     F = code.field
     q = result.quantum.q
@@ -421,9 +420,10 @@ def reconstruct_multipliers(result: ConstructionResult) -> Tuple[Element, ...]:
         t = code.n // q
         span = F.sub(F.frobenius(F.generator), F.generator)
         scale = F.pow(span, t - 1)
-        return tuple(
-            F.solve_norm(F.mul(wi, scale)) for wi in result.witnesses["w"]
-        )
+        norms = [F.mul(wi, scale) for wi in result.witnesses["w"]]
+        if not all(x and F.in_subfield(x) for x in norms):
+            return None
+        return tuple(F.solve_norm(x) for x in norms)
     m = Poly(F, result.witnesses["m_coeffs"])
     gamma = result.witnesses["gamma"]
     if result.quantum.provenance == PROVENANCE_EXTENDED_SPECIAL:

@@ -7,12 +7,16 @@ A plain GRS code evaluates polynomials of degree < k at n distinct points,
 scaling coordinate i by a nonzero multiplier v_i.  The extended variant
 appends one coordinate carrying the degree-(k-1) coefficient of the
 message polynomial.  Both are MDS by construction.
+
+The two distance kernels are exact and incremental.  Brute force visits
+the message space in Gray order, one row operation per codeword; the rank
+test shares each column prefix's elimination with every k-subset that
+extends it.  Both hold O(k*N) field elements and read the field's add/mul
+lookup tables (`FieldTower.op_tables`).
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -125,7 +129,10 @@ def generator_rows(code) -> Tuple[Tuple[Element, ...], ...]:
     return code.rows
 
 
-def as_linear_code(code: GRSCode) -> LinearCode:
+def as_linear_code(code) -> LinearCode:
+    """The code itself when it is a LinearCode, else its generator matrix."""
+    if isinstance(code, LinearCode):
+        return code
     return LinearCode(code.field, generator_rows(code), code.length)
 
 
@@ -274,14 +281,16 @@ def in_hermitian_dual(code: GRSCode, f: Poly) -> bool:
     return g.coeff(n - code.k) == F.neg(F.frobenius(f.coeff(code.k - 1)))
 
 
-@functools.lru_cache(maxsize=None)
 def min_distance_bruteforce(code, cap: int = BRUTE_FORCE_CAP) -> int:
     """Minimum Hamming weight over all nonzero codewords.
 
-    Enumerates one representative per scalar class (highest nonzero message
-    coordinate normalized to 1), which covers every weight since scaling
-    preserves weights.  Refuses to run when the code has more than `cap`
-    codewords.
+    Enumerates one representative per scalar class: the highest nonzero
+    message coordinate (the lead) is 1 and the coordinates below it range
+    over GF(Q)^lead.  Scaling preserves weights, so every weight is seen.
+    The prefixes are visited in Q-ary reflected Gray order, in which one
+    coordinate c_i changes per step, so each word is the previous one plus
+    delta * row_i: one pass over N entries per word and O(k*N) memory.
+    Refuses to run when the code has more than `cap` codewords.
     """
     F = code.field
     rows = generator_rows(code)
@@ -289,36 +298,47 @@ def min_distance_bruteforce(code, cap: int = BRUTE_FORCE_CAP) -> int:
     if k == 0:
         raise ValueError("the zero code has no nonzero codewords")
     length = len(rows[0])
-    if F.order ** k > cap:
-        raise CapExceeded(
-            f"{F.order ** k} codewords exceed the enumeration cap {cap}"
-        )
-    add = F.add
-    mul = F.mul
     order = F.order
-    # scalar multiples of every generator row, indexed [row][scalar]
-    scaled = [
-        [tuple(mul(c, x) for x in row) for c in range(order)] for row in rows
-    ]
+    if order ** k > cap:
+        raise CapExceeded(
+            f"{order ** k} codewords exceed the enumeration cap {cap}"
+        )
+    add, mul = F.op_tables
     best = length
     for lead in range(k):
-        base = scaled[lead][1]
-        for prefix in itertools.product(range(order), repeat=lead):
-            word = base
-            for c, srow in zip(prefix, scaled):
-                if c:
-                    row = srow[c]
-                    word = tuple(add(x, y) for x, y in zip(word, row))
-            wt = length - word.count(0)
-            if wt < best:
-                best = wt
+        word = list(rows[lead])
+        best = min(best, length - word.count(0))
+        digits = [0] * lead
+        steps = [1] * lead
+        for _ in range(order ** lead - 1):
+            # the lowest digit that can still move in its direction moves;
+            # the digits below it are at an end and turn around
+            i = 0
+            while not 0 <= digits[i] + steps[i] < order:
+                steps[i] = -steps[i]
+                i += 1
+            old = digits[i]
+            digits[i] = old + steps[i]
+            scaled = mul[F.sub(digits[i], old)]
+            word = [add[x][scaled[y]] for x, y in zip(word, rows[i])]
+            weight = length - word.count(0)
+            if weight < best:
+                best = weight
     return best
 
 
-@functools.lru_cache(maxsize=None)
 def is_mds_by_rank(code, cap: int = RANK_TEST_CAP) -> bool:
     """MDS test via the standard equivalence: distance N-k+1 iff every
-    k-column submatrix of the generator is nonsingular."""
+    k-column submatrix of the generator is nonsingular.
+
+    Walks increasing column tuples depth first, sharing each prefix's
+    elimination with every tuple that extends it: a prefix of d independent
+    columns carries the residues of the later columns modulo its span, as
+    vectors of k-d coordinates.  Taking the next column pivots on its
+    residue and reduces each later residue by one O(k-d) row operation.  A
+    zero residue means some at most k columns are dependent, so some
+    k-column submatrix is singular and the walk stops.
+    """
     F = code.field
     rows = generator_rows(code)
     k = len(rows)
@@ -328,8 +348,34 @@ def is_mds_by_rank(code, cap: int = RANK_TEST_CAP) -> bool:
     n_subsets = math.comb(length, k)
     if n_subsets > cap:
         raise CapExceeded(f"{n_subsets} column subsets exceed the cap {cap}")
-    for cols in itertools.combinations(range(length), k):
-        sub = [[row[c] for c in cols] for row in rows]
-        if rank(F, sub) != k:
-            return False
-    return True
+    add, mul = F.op_tables
+
+    def independent(residues: List[List[Element]], needed: int) -> bool:
+        """Whether every choice of `needed` of these residues, each a vector
+        of `needed` coordinates, is linearly independent."""
+        if needed == 1:
+            return all(r[0] for r in residues)
+        for a in range(len(residues) - needed + 1):
+            r = residues[a]
+            p = next((i for i, x in enumerate(r) if x), None)
+            if p is None:
+                return False
+            # -r / r[p]: adding f * pivot clears coordinate p of a residue
+            # whose coordinate p is f
+            normalise = mul[F.neg(F.inv(r[p]))]
+            pivot = [normalise[x] for x in r]
+            reduced = []
+            for s in residues[a + 1:]:
+                f = s[p]
+                if f:
+                    scaled = mul[f]
+                    s = [add[x][scaled[y]] for x, y in zip(s, pivot)]
+                else:
+                    s = list(s)
+                del s[p]
+                reduced.append(s)
+            if not independent(reduced, needed - 1):
+                return False
+        return True
+
+    return independent([list(col) for col in zip(*rows)], k)

@@ -43,6 +43,7 @@ from .grs import (
     RANK_TEST_CAP,
     CapExceeded,
     GRSCode,
+    LinearCode,
     as_linear_code,
     dual_basis,
     encode,
@@ -104,9 +105,14 @@ class VerificationReport:
 
 
 def distance_ladder(
-    code: GRSCode, brute_cap: int = BRUTE_FORCE_CAP, rank_cap: int = RANK_TEST_CAP
+    code: Union[GRSCode, LinearCode],
+    brute_cap: int = BRUTE_FORCE_CAP,
+    rank_cap: int = RANK_TEST_CAP,
 ) -> Tuple[str, Optional[int], bool]:
-    """(method, measured_distance, mds) for a GRS code, per the caps."""
+    """(method, measured_distance, mds) for a GRS code or a LinearCode, per
+    the caps.  Past both caps the method is "by-construction" with mds
+    True, which only a GRS code's construction can back; callers holding a
+    bare LinearCode must treat that rung as uncertified."""
     lc = as_linear_code(code)
     expected = lc.length - lc.dim + 1
     try:

@@ -419,6 +419,22 @@ def test_derive_quantum_from_classical_codes():
     assert (qp.n, qp.k, qp.d, qp.q) == (9, 5, 3, 3)
 
 
+def test_derive_quantum_checks_a_bare_linear_code_through_the_ladder():
+    # brute force, then the rank test, certify these two
+    for res in (additive_coset_code(3, 3, 2), multiplicative_coset_code(5, 4, 5)):
+        qp = derive_quantum(as_linear_code(res.code), provenance="manual")
+        assert (qp.n, qp.k) == (res.quantum.n, res.quantum.k)
+    # a zero column keeps the code self-orthogonal but not MDS
+    good = as_linear_code(additive_coset_code(3, 3, 2).code)
+    padded = LinearCode(good.field, tuple(row + (0,) for row in good.rows))
+    with pytest.raises(ValueError, match="not MDS"):
+        derive_quantum(padded, provenance="manual")
+    # past both caps nothing independent can run
+    big = as_linear_code(multiplicative_coset_code(9, 8, 8).code)
+    with pytest.raises(ValueError, match="cannot certify the MDS premise"):
+        derive_quantum(big, provenance="manual")
+
+
 def test_derive_quantum_rejects_non_self_orthogonal_input():
     F = make_field(3, 1)
     from qmds.grs import GRSCode

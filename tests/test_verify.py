@@ -104,6 +104,19 @@ def test_verify_detects_a_tampered_witness_on_a_valid_code(build, key):
     assert not report.passed
 
 
+def test_verify_reports_a_w_witness_without_a_norm_solution_as_a_failure():
+    # scaling w_0 by the generator moves w_0 * span**(t-1) out of GF(q), so
+    # no multiplier has that norm: the report must fail, not raise
+    good = additive_coset_code(3, 3, 2)
+    F = good.code.field
+    witnesses = {name: list(val) for name, val in good.witnesses.items()}
+    witnesses["w"][0] = F.mul(witnesses["w"][0], F.generator)
+    report = verify_construction(ConstructionResult(good.code, good.quantum, witnesses))
+    assert report.hermitian_self_orthogonal and report.mds
+    assert not report.singleton_equality
+    assert not report.passed
+
+
 def test_verify_detects_quantum_parameters_that_do_not_match_the_code():
     good = additive_coset_code(3, 3, 2)
     wrong = dataclasses.replace(good.quantum, n=11, k=7)  # still k = n - 2d + 2
