@@ -381,16 +381,27 @@ class FieldTower:
         of `order` entries (64 KB per table at order 256), built on first
         use.  Larger fields get views that call the methods, so the same
         loop runs on every field without materialising order**2 entries.
+
+        The rows are slices of two base rows.  Multiplication adds discrete
+        logs, so row x is 0 followed by the units 1..order-1 rotated by
+        x - 1.  Addition row x is x followed by x * (1 + y/x) over the units
+        y: the Zech row 1 + y rotated by x - 1, mapped through mul[x].
         """
         if self._op_tables is None:
             if self.order > LOOKUP_TABLE_MAX_ORDER:
                 self._op_tables = (_MethodTable(self.add), _MethodTable(self.mul))
             else:
-                elems = range(self.order)
-                self._op_tables = (
-                    tuple(bytes(self.add(x, y) for y in elems) for x in elems),
-                    tuple(bytes(self.mul(x, y) for y in elems) for x in elems),
-                )
+                M = self.order - 1
+                units = bytes(range(1, self.order))
+                mul = (bytes(self.order),) + tuple(
+                    b"\0" + units[r:] + units[:r] for r in range(M))
+                one_plus = bytes(0 if z is None else 1 + z for z in self._zech)
+                pad = bytes(256 - self.order)
+                add = (bytes(range(self.order)),) + tuple(
+                    bytes((1 + r,))
+                    + (one_plus[M - r:] + one_plus[:M - r]).translate(mul[1 + r] + pad)
+                    for r in range(M))
+                self._op_tables = (add, mul)
         return self._op_tables
 
     # -- tower structure ---------------------------------------------------

@@ -2,15 +2,23 @@
 
 Coefficients are canonical element ints, ascending degree, stored trimmed;
 the zero polynomial has degree -1.  Provides the pieces the code machinery
-needs: evaluation, Frobenius twisting, division/gcd, irreducibility
-testing, Lagrange interpolation, and a deterministic search for monic
-polynomials without roots in the field.
+needs: evaluation, Frobenius twisting, division/gcd, Lagrange
+interpolation, an irreducibility test and a deterministic search for the
+first monic irreducible polynomial of a degree (the scaling polynomial of
+the extended family).
+
+The last two read the field's `op_tables` instead of calling its methods.
+The search evaluates each block of Q candidates, which differ only in the
+constant term, once at every field element and reads the root-free
+candidates off the block's image.  The irreducibility test steps
+x**(Q**i) mod f by one matrix-vector product each, through the matrix of
+the GF(Q)-linear map h -> h**Q mod f.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from .field import Element, FieldTower
 
@@ -168,25 +176,19 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return a
 
 
-def pow_mod(base: Poly, exp: int, mod: Poly) -> Poly:
-    result = Poly.one(base.field)
-    base = base % mod
-    while exp:
-        if exp & 1:
-            result = (result * base) % mod
-        base = (base * base) % mod
-        exp >>= 1
-    return result
-
-
 def is_irreducible(f: Poly) -> bool:
-    """Irreducibility over the big field GF(q^2).
+    """Irreducibility over the big field GF(q^2), of order Q.
 
     A reducible polynomial of degree d has an irreducible factor of degree
     at most d/2, and x**(Q**i) - x is the product of all irreducibles whose
     degree divides i, so f is irreducible iff gcd(x**(Q**i) - x, f) is
-    trivial for every i up to d/2.  (Iterating h -> h**Q commutes with
-    reduction mod f because Q is a power of the characteristic.)
+    trivial for every i up to d/2.
+
+    The powers are taken modulo f on flat coefficient lists.  x**Q is found
+    once, by square-and-multiply.  Because c**Q == c for every c in the
+    field, h -> h**Q is linear on the residues: (sum h_j x**j)**Q is
+    sum h_j x**(jQ).  So with the d rows x**(jQ) mod f (Berlekamp's
+    Q-matrix), each next x**(Q**(i+1)) is one matrix-vector product.
     """
     d = f.degree
     if d < 1:
@@ -194,40 +196,121 @@ def is_irreducible(f: Poly) -> bool:
     if d == 1:
         return True
     F = f.field
-    Q = F.order
-    x = Poly.x(F)
+    add, mul = F.op_tables
+    # x**d == tail[0] + tail[1] x + ... + tail[d-1] x**(d-1)  (mod f)
+    lc_inv = mul[F.inv(f.coeffs[-1])]
+    tail = [F.neg(lc_inv[c]) for c in f.coeffs[:-1]]
+
+    def mulmod(a: List[Element], b: List[Element]) -> List[Element]:
+        prod = [0] * (2 * d - 1)
+        for i, x in enumerate(a):
+            if x:
+                row = mul[x]
+                for j, y in enumerate(b, i):
+                    prod[j] = add[prod[j]][row[y]]
+        for top in range(2 * d - 2, d - 1, -1):
+            c = prod[top]
+            if c:
+                row = mul[c]
+                for j, y in enumerate(tail, top - d):
+                    prod[j] = add[prod[j]][row[y]]
+        return prod[:d]
+
+    x = [0, 1] + [0] * (d - 2)
     h = x
-    for _ in range(d // 2):
-        h = pow_mod(h, Q, f)
-        if poly_gcd(f, h - x).degree > 0:
+    for bit in bin(F.order)[3:]:
+        h = mulmod(h, h)
+        if bit == "1":
+            h = mulmod(h, x)
+    rows = [[1] + [0] * (d - 1), h]
+    while len(rows) < d:
+        rows.append(mulmod(rows[-1], h))
+
+    monic = [lc_inv[c] for c in f.coeffs]
+    minus_one = F.neg(1)
+    for i in range(1, d // 2 + 1):
+        if i > 1:
+            nxt = [0] * d
+            for c, row in zip(h, rows):
+                if c:
+                    scale = mul[c]
+                    nxt = [add[s][scale[r]] for s, r in zip(nxt, row)]
+            h = nxt
+        diff = list(h)
+        diff[1] = add[diff[1]][minus_one]
+        if _gcd_degree(F, monic, diff) > 0:
             return False
     return True
 
 
+def _gcd_degree(F: FieldTower, a: List[Element], b: List[Element]) -> int:
+    """Degree of gcd(a, b) for coefficient lists with a trimmed and nonzero.
+    Every remainder is kept trimmed, so its leading coefficient is a unit."""
+    add, mul = F.op_tables
+    b = list(b)
+    while b and b[-1] == 0:
+        b.pop()
+    while b:
+        # a, b = b, a mod b
+        rem = list(a)
+        db = len(b) - 1
+        lc_inv = F.inv(b[-1])
+        minus_b = [F.neg(y) for y in b]
+        while len(rem) > db:
+            row = mul[mul[rem[-1]][lc_inv]]
+            for j, y in enumerate(minus_b, len(rem) - 1 - db):
+                rem[j] = add[rem[j]][row[y]]
+            rem.pop()
+            while rem and rem[-1] == 0:
+                rem.pop()
+        a, b = b, rem
+    return len(a) - 1
+
+
 @functools.lru_cache(maxsize=None)
 def root_free_monic(field: FieldTower, degree: int) -> Poly:
-    """First monic polynomial of the given degree >= 2 with no root in the
-    field, enumerating coefficients in ascending order with the constant
-    term fastest-varying.  Irreducibility implies rootlessness at degree >= 2,
-    and testing it is cheaper than evaluating at every element for each
-    candidate."""
+    """First monic irreducible polynomial of the given degree >= 2,
+    enumerating coefficients in ascending order with the constant term
+    fastest-varying.  An irreducible polynomial of degree >= 2 has no root
+    in the field, and at degree 2 or 3 a polynomial without a root is
+    irreducible.
+
+    Each block of Q consecutive candidates shares c_1..c_(l-1), so the
+    search evaluates g = x**l + ... + c_1 x once at every element, per
+    block.  The candidate g + c_0 is root-free iff -c_0 is not in the image
+    of g, and a block whose image is the whole field holds no root-free
+    candidate.  At degree <= 3 the first root-free candidate is the answer;
+    above, the root-free candidates go to `is_irreducible` in order.
+    """
     if degree < 2:
         raise ValueError(f"degree must be at least 2, got {degree}")
-    Q = field.order
-    idx = 0
-    while True:
-        coeffs = []
-        m = idx
-        for _ in range(degree):
-            m, r = divmod(m, Q)
-            coeffs.append(r)
-        if m:
-            raise RuntimeError("no irreducible polynomial found")  # cannot happen
-        coeffs.append(1)
-        cand = Poly(field, coeffs)
-        if is_irreducible(cand):
-            return cand
-        idx += 1
+    F = field
+    Q = F.order
+    add, mul = F.op_tables
+    elems = F.elements()
+    for block in range(Q ** (degree - 1)):
+        upper = []  # c_1, ..., c_(l-1): the digits of the block index
+        m = block
+        for _ in range(degree - 1):
+            m, c = divmod(m, Q)
+            upper.append(c)
+        horner = upper[::-1]
+        upper.append(1)
+        # in_image[y] is 1 iff y == g(x) for some x
+        in_image = bytearray(Q)
+        for x in elems:
+            acc = 1
+            for c in horner:
+                acc = add[mul[acc][x]][c]
+            in_image[mul[acc][x]] = 1
+        if 0 not in in_image:
+            continue
+        for c0 in elems:
+            if not in_image[F.neg(c0)]:
+                cand = Poly(F, [c0] + upper)
+                if degree <= 3 or is_irreducible(cand):
+                    return cand
+    raise RuntimeError("no irreducible polynomial found")  # cannot happen
 
 
 def lagrange_interpolate(

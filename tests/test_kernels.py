@@ -94,12 +94,18 @@ def test_kernels_agree_with_the_references(name):
     assert not all(verdicts) and any(verdicts)
 
 
-@pytest.mark.parametrize("name", FIELDS)
+# Every field of the default sweep, GF(256) at the table limit, and GF(289)
+# past it.
+TABLE_FIELDS = {**FIELDS, "GF(25)": (5, 1), "GF(49)": (7, 1), "GF(64)": (2, 3),
+                "GF(81)": (3, 2), "GF(256)": (2, 4)}
+
+
+@pytest.mark.parametrize("name", TABLE_FIELDS)
 def test_op_tables_match_the_field_methods(name):
-    F = make_field(*FIELDS[name])
+    F = make_field(*TABLE_FIELDS[name])
     add, mul = F.op_tables
     rng = random.Random(1)
-    pairs = itertools.product(range(F.order), repeat=2) if F.order <= 16 else (
+    pairs = itertools.product(range(F.order), repeat=2) if F.order <= LOOKUP_TABLE_MAX_ORDER else (
         (rng.randrange(F.order), rng.randrange(F.order)) for _ in range(2000))
     for x, y in pairs:
         assert add[x][y] == F.add(x, y) and mul[x][y] == F.mul(x, y)

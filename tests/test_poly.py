@@ -1,9 +1,10 @@
+import functools
 import itertools
 import random
 
 import pytest
 
-from qmds.field import make_field
+from qmds.field import field_for_prime_power, make_field
 from qmds.poly import (
     Poly,
     is_irreducible,
@@ -14,6 +15,8 @@ from qmds.poly import (
 
 F4 = make_field(2, 1)
 F9 = make_field(3, 1)
+F16 = make_field(2, 2)
+F64 = make_field(2, 3)
 
 
 def random_poly(F, max_deg, rng):
@@ -124,6 +127,99 @@ def test_root_free_monic_properties(F, deg):
     assert m.is_monic()
     assert m.degree == deg
     assert all(m(x) != 0 for x in F.elements())
+
+
+@functools.lru_cache(maxsize=None)
+def monic_polys(F, degree):
+    """Every monic polynomial of the degree, constant term fastest-varying."""
+    return tuple(Poly(F, coeffs[::-1] + (1,))
+                 for coeffs in itertools.product(range(F.order), repeat=degree))
+
+
+def reference_irreducible(f):
+    """Trial division by every monic polynomial of degree 1..d/2."""
+    if f.degree < 1:
+        return False
+    return not any((f % g).is_zero()
+                   for k in range(1, f.degree // 2 + 1) for g in monic_polys(f.field, k))
+
+
+def test_is_irreducible_on_every_monic_quartic_over_gf4():
+    verdicts = [is_irreducible(f) == reference_irreducible(f) for f in monic_polys(F4, 4)]
+    assert all(verdicts) and len(verdicts) == 256
+
+
+@pytest.mark.parametrize("F,degrees", [(F9, (4, 5, 6)), (F16, (4, 5, 6)), (F64, (4, 5))],
+                         ids=["F9", "F16", "F64"])
+def test_is_irreducible_on_random_polynomials(F, degrees):
+    # GF(64) stops at degree 5: trial division at degree 6 would try 64^3
+    # cubics per irreducible input.
+    rng = random.Random(F.order)
+    seen = set()
+    for degree in degrees:
+        for _ in range(30):
+            f = Poly(F, [rng.randrange(F.order) for _ in range(degree)]
+                     + [rng.randrange(1, F.order)])
+            verdict = reference_irreducible(f)
+            assert is_irreducible(f) == verdict, f
+            seen.add(verdict)
+    assert seen == {False, True}
+
+
+def random_root_free(F, degree, count, rng):
+    """`count` distinct random monic polynomials of the degree without a root."""
+    found = []
+    while len(found) < count:
+        f = Poly(F, [rng.randrange(F.order) for _ in range(degree)] + [1])
+        if f not in found and all(f(x) for x in F.elements()):
+            found.append(f)
+    return found
+
+
+# GF(289) is past LOOKUP_TABLE_MAX_ORDER, so the test runs on the methods there.
+@pytest.mark.parametrize("F", [F4, F9, F16, F64, make_field(17, 1)],
+                         ids=["F4", "F9", "F16", "F64", "F289"])
+def test_is_irreducible_rejects_root_free_reducible_products(F):
+    # No factor of degree 1, so only gcds past x**Q - x can reject these.
+    rng = random.Random(F.order + 1)
+    quadratics = random_root_free(F, 2, 6, rng)
+    cubics = random_root_free(F, 3, 2, rng)
+    assert all(is_irreducible(f) for f in quadratics + cubics)
+    products = [quadratics[0] * quadratics[0], quadratics[0] * cubics[0],
+                cubics[0] * cubics[1], (cubics[1] * cubics[1]).scaled(F.generator)]
+    for _ in range(5):
+        g, h = rng.sample(quadratics, 2)
+        products.append(g * h)
+    for f in products:
+        assert all(f(x) for x in F.elements())
+        assert not is_irreducible(f), f
+
+
+# The polynomials the extended family scales by, pinned as the search
+# returned them before it evaluated whole blocks: (q, degree) -> coefficients.
+PINNED_SCALING_POLYS = {
+    (16, 4): (1, 4, 1, 0, 1),
+    (9, 6): (2, 0, 1, 0, 0, 0, 1),
+    (8, 6): (6, 1, 1, 0, 0, 0, 1),
+    (8, 4): (1, 2, 1, 0, 1),
+    (7, 5): (4, 1, 0, 0, 0, 1),
+    (128, 2): (6, 1, 1),
+    (127, 2): (2, 0, 1),
+    (125, 2): (2, 0, 1),
+}
+
+
+@pytest.mark.parametrize("q,degree", PINNED_SCALING_POLYS)
+def test_root_free_monic_returns_the_pinned_polynomial(q, degree):
+    assert root_free_monic(field_for_prime_power(q), degree).coeffs == \
+        PINNED_SCALING_POLYS[q, degree]
+
+
+@pytest.mark.parametrize("F", [F4, F9], ids=["F4", "F9"])
+@pytest.mark.parametrize("deg", [2, 3, 4])
+def test_root_free_monic_is_the_first_reference_irreducible(F, deg):
+    first = next(f for f in monic_polys(F, deg) if reference_irreducible(f))
+    assert root_free_monic(F, deg) == first
 
 
 def test_root_free_monic_rejects_low_degree():
