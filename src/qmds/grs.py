@@ -8,16 +8,23 @@ scaling coordinate i by a nonzero multiplier v_i.  The extended variant
 appends one coordinate carrying the degree-(k-1) coefficient of the
 message polynomial.  Both are MDS by construction.
 
-The two distance kernels are exact and incremental.  Brute force visits
-the message space in Gray order, one row operation per codeword; the rank
-test shares each column prefix's elimination with every k-subset that
-extends it.  Both hold O(k*N) field elements and read the field's add/mul
-lookup tables (`FieldTower.op_tables`).
+The two distance kernels are exact and incremental, and each closes its
+last level in one pass over the N columns.  Brute force leaves the lowest
+message coordinate c0 free and visits the higher ones in Gray order, one
+row operation per base word; one histogram of N keys gives the lightest of
+the Q words b + c0 * row_0 of a base b, so a lead costs Q^(lead-1) base
+words.  The rank test shares each column prefix's elimination with every
+k-subset that extends it, and settles the last two columns of every subset
+with about N projective-key insertions per (k-2)-column prefix.  Both hold
+O(k*N) field elements and read the field's add/mul lookup tables
+(`FieldTower.op_tables`).  Their caps still count all Q^k codewords and
+all C(N, k) subsets.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -287,10 +294,18 @@ def min_distance_bruteforce(code, cap: int = BRUTE_FORCE_CAP) -> int:
     Enumerates one representative per scalar class: the highest nonzero
     message coordinate (the lead) is 1 and the coordinates below it range
     over GF(Q)^lead.  Scaling preserves weights, so every weight is seen.
-    The prefixes are visited in Q-ary reflected Gray order, in which one
-    coordinate c_i changes per step, so each word is the previous one plus
-    delta * row_i: one pass over N entries per word and O(k*N) memory.
-    Refuses to run when the code has more than `cap` codewords.
+
+    The lowest coordinate c0 is left free.  The higher ones are visited in
+    Q-ary reflected Gray order, in which one coordinate c_i changes per
+    step, so each base word b is the previous one plus delta * row_i: a lead
+    costs Q^(lead-1) base words, each one pass over the N columns.  For one
+    base, coordinate j of b + c0 * row_0 vanishes for every c0 when row_0[j]
+    and b[j] are both 0, and for exactly the one c0 = -b[j] / row_0[j] when
+    row_0[j] != 0.  So the largest count of equal keys -b[j] / row_0[j] is
+    the most zeros that any of the Q words of the base has.  The base is
+    kept with those columns already scaled by -1 / row_0[j], so its entries
+    are the keys; memory stays O(k*N).  The cap still counts all Q^k
+    codewords.
     """
     F = code.field
     rows = generator_rows(code)
@@ -304,24 +319,31 @@ def min_distance_bruteforce(code, cap: int = BRUTE_FORCE_CAP) -> int:
             f"{order ** k} codewords exceed the enumeration cap {cap}"
         )
     add, mul = F.op_tables
-    best = length
-    for lead in range(k):
-        word = list(rows[lead])
-        best = min(best, length - word.count(0))
+    row0 = rows[0]
+    best = length - row0.count(0)
+    # keyed columns: row_0[j] != 0, scaled by -1 / row_0[j]; fixed: row_0[j] == 0
+    keyed = [(j, F.neg(F.inv(x))) for j, x in enumerate(row0) if x]
+    fixed = [j for j, x in enumerate(row0) if not x]
+    keys_of = [[mul[row[j]][m] for j, m in keyed] for row in rows]
+    fixed_of = [[row[j] for j in fixed] for row in rows]
+    for lead in range(1, k):
+        keys, rest = keys_of[lead], fixed_of[lead]
+        best = min(best, length - rest.count(0) - max(Counter(keys).values()))
         digits = [0] * lead
         steps = [1] * lead
-        for _ in range(order ** lead - 1):
-            # the lowest digit that can still move in its direction moves;
-            # the digits below it are at an end and turn around
-            i = 0
+        for _ in range(order ** (lead - 1) - 1):
+            # the lowest digit above c0 that can still move in its direction
+            # moves; the digits below it are at an end and turn around
+            i = 1
             while not 0 <= digits[i] + steps[i] < order:
                 steps[i] = -steps[i]
                 i += 1
             old = digits[i]
             digits[i] = old + steps[i]
             scaled = mul[F.sub(digits[i], old)]
-            word = [add[x][scaled[y]] for x, y in zip(word, rows[i])]
-            weight = length - word.count(0)
+            keys = [add[x][scaled[y]] for x, y in zip(keys, keys_of[i])]
+            rest = [add[x][scaled[y]] for x, y in zip(rest, fixed_of[i])]
+            weight = length - rest.count(0) - max(Counter(keys).values())
             if weight < best:
                 best = weight
     return best
@@ -338,6 +360,12 @@ def is_mds_by_rank(code, cap: int = RANK_TEST_CAP) -> bool:
     residue and reduces each later residue by one O(k-d) row operation.  A
     zero residue means some at most k columns are dependent, so some
     k-column submatrix is singular and the walk stops.
+
+    The last two columns of a tuple close in one pass: residues (r0, r1)
+    are pairwise independent iff none is zero and their projective keys,
+    r1 / r0 or one infinite key when r0 == 0, are pairwise distinct.  So
+    each (k-2)-column prefix costs about N key insertions, and a k = 2 test
+    is linear in N.  The cap still counts all C(N, k) subsets.
     """
     F = code.field
     rows = generator_rows(code)
@@ -355,6 +383,19 @@ def is_mds_by_rank(code, cap: int = RANK_TEST_CAP) -> bool:
         of `needed` coordinates, is linearly independent."""
         if needed == 1:
             return all(r[0] for r in residues)
+        if needed == 2:
+            keys = set()
+            for r0, r1 in residues:
+                if r0:
+                    key = mul[r1][F.inv(r0)]
+                elif r1:
+                    key = None  # the point at infinity
+                else:
+                    return False
+                if key in keys:
+                    return False
+                keys.add(key)
+            return True
         for a in range(len(residues) - needed + 1):
             r = residues[a]
             p = next((i for i, x in enumerate(r) if x), None)

@@ -5,6 +5,7 @@ here is exact arithmetic, zero tolerance), and prints one PASS line.
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 """
 
+import hashlib
 import math
 import subprocess
 import sys
@@ -30,6 +31,7 @@ from qmds.grs import (
 )
 from qmds.verify import (
     STATUS_EXCLUDED,
+    STATUS_OK,
     five_one_five_search,
     identity_suites,
     sweep,
@@ -37,6 +39,9 @@ from qmds.verify import (
 )
 
 SWEEP_Q = (2, 3, 4, 5, 7, 8, 9)
+
+#: sha256 of the default sweep's CSV: the byte-for-byte output contract.
+SWEEP_SHA256 = "d3e6323e6eb953b6b8942293e21a629841b646b0006b59269f55a41337e930ed"
 
 
 def _report(number, label):
@@ -195,4 +200,8 @@ def test_criterion_8_full_sweep_is_byte_identical(tmp_path):
     header, *rows = outputs[0].decode().splitlines()
     assert header == "q,t,k,family,N,K,D,n,kq,d,status"
     assert len(rows) == 272
+    assert hashlib.sha256(outputs[0]).hexdigest() == SWEEP_SHA256
+    statuses = [row.rsplit(",", 1)[1] for row in rows]
+    assert statuses.count(STATUS_OK) == 269
+    assert statuses.count(STATUS_EXCLUDED) == 3
     _report(8, f"two independent full sweeps byte-identical ({len(rows)} rows)")

@@ -6,6 +6,11 @@ The codes are random over GF(4), GF(9), GF(16) and GF(17^2).  GF(17^2) has
 289 elements, past `LOOKUP_TABLE_MAX_ORDER`, so the kernels run on the
 field's methods there.  The mix holds GRS codes (MDS), random matrices, and
 codes with a duplicated or a scaled duplicate column (not MDS once k >= 2).
+
+The targeted tests after them aim at the last level of each kernel, which
+closes in one pass: pairs of 2-coordinate residues compared by projective
+key (the rank test), and the Q words b + c0 * row_0 of one base word b
+read off one histogram (brute force).
 """
 
 import itertools
@@ -122,3 +127,144 @@ def test_bruteforce_memory_does_not_grow_with_the_field():
     finally:
         tracemalloc.stop()
     assert peak < 20 * 2 ** 20
+
+
+# ----------------------------------------------------------------------
+# The closed last level of each kernel
+# ----------------------------------------------------------------------
+
+F9 = make_field(3, 1)
+
+
+def dependent_subsets(code, size):
+    F = code.field
+    return [cols for cols in itertools.combinations(range(code.length), size)
+            if rank(F, [[row[c] for c in cols] for row in code.rows]) < size]
+
+
+def minimum_c0(code):
+    """The c0 of every minimum-weight word whose highest nonzero message
+    coordinate is 1 and is not c0 itself: the words the kernel reads off
+    its histograms."""
+    F, distance = code.field, reference_distance(code)
+    out = set()
+    for msg in itertools.product(range(F.order), repeat=code.dim - 1):
+        for lead in range(1, code.dim):
+            if msg[lead - 1] == 1 and not any(msg[lead:]):
+                break
+        else:
+            continue
+        for c0 in range(F.order):
+            word = [0] * code.length
+            for c, row in zip((c0,) + msg, code.rows):
+                word = [F.add(x, F.mul(c, y)) for x, y in zip(word, row)]
+            if code.length - word.count(0) == distance:
+                out.add(c0)
+    return out
+
+
+def test_rank_finds_a_dependent_triple_as_two_proportional_residues():
+    # A [6, 3] GRS code over GF(9) with column 5 replaced by col1 + beta*col2.
+    # {1, 2, 5} is then dependent while no pair is, so the walk meets it
+    # under prefix column 1 as two nonzero, proportional residues.
+    F = F9
+    grs = as_linear_code(GRSCode(F, range(6), [1, 2, 3, 4, 5, 6], 3)).rows
+    assert is_mds_by_rank(LinearCode(F, grs))
+    checked = 0
+    for beta in range(1, F.order):
+        rows = [list(r[:5]) + [F.add(r[1], F.mul(beta, r[2]))] for r in grs]
+        code = LinearCode(F, rows)
+        if dependent_subsets(code, 3) != [(1, 2, 5)] or dependent_subsets(code, 2):
+            continue
+        assert not is_mds_by_rank(code), beta
+        assert min_distance_bruteforce(code) == reference_distance(code) == 3
+        checked += 1
+    assert checked >= 4
+
+
+@pytest.mark.parametrize("k", (2, 3))
+def test_rank_keys_residues_with_r0_zero_as_one_point(k):
+    # The extended column e_k leaves the residue (0, 1) under every prefix
+    # of ordinary columns: the infinite key.  One such column keeps the
+    # code MDS; a second, scaled copy makes a dependent pair that only the
+    # shared infinite key reveals.
+    F = F9
+    mds = as_linear_code(GRSCode(F, range(5), [1, 2, 3, 4, 5], k, extended=True))
+    assert is_mds_by_rank(mds) and reference_mds(mds)
+    assert min_distance_bruteforce(mds) == reference_distance(mds) == 6 - k + 1
+    scaled = F.generator
+    rows = [list(r) + [F.mul(scaled, r[-1])] for r in mds.rows]
+    code = LinearCode(F, rows)
+    assert not is_mds_by_rank(code) and not reference_mds(code)
+    assert min_distance_bruteforce(code) == reference_distance(code)
+    # two columns whose r1 agree but whose keys r1 / r0 differ stay independent
+    same_r1 = LinearCode(F, [[1, F.generator, 0], [1, 1, 1]])
+    assert is_mds_by_rank(same_r1) and reference_mds(same_r1)
+
+
+def test_bruteforce_counts_zeros_that_hold_for_every_c0():
+    # row_0 vanishes at column 0, and so do row_1 and every lead-1 base.
+    # The one minimum word row_1 - row_0 = (0, 0, 0, 0, -1, -1) has weight
+    # 2 only with that zero counted.  Every lead-2 word has weight >= 3.
+    F = F9
+    code = LinearCode(F, [[0, 1, 1, 1, 1, 1],
+                          [0, 1, 1, 1, 0, 0],
+                          [1, 0, 0, 1, 0, 1]])
+    assert reference_distance(code) == 2 and minimum_c0(code) == {F.neg(1)}
+    assert min_distance_bruteforce(code) == 2
+
+
+def test_bruteforce_counts_a_nonzero_base_entry_where_row_0_vanishes():
+    # row_0 vanishes at column 0, but row_1 does not: that column is
+    # nonzero in every lead-1 word.  The minimum word is
+    # row_1 - row_0 = (1, -1, 0, 0).
+    F = F9
+    code = LinearCode(F, [[0, 1, 1, 1], [1, 0, 1, 1]])
+    assert reference_distance(code) == 2 and minimum_c0(code) == {F.neg(1)}
+    assert min_distance_bruteforce(code) == 2
+
+
+@pytest.mark.parametrize("lead", (1, 2))
+def test_bruteforce_minimum_reached_only_at_c0_zero(lead):
+    # The code is spanned by the all-ones word, at lead 2 also by the points
+    # X = (0, 1, ..., 5), and by m = (0, 0, 0, 0, 1, x) with x != 0.
+    # Any word with a nonzero part from 1 and X has at most one zero among
+    # its first four coordinates, so the multiples of m are the only words
+    # of weight 2.  m is the lead-`lead` base word itself (c0 = 0); at lead
+    # 2 the walk reaches it at c1 = x.
+    F = F9
+    x = F.generator
+    m = [0, 0, 0, 0, 1, x]
+    points = list(range(6))
+    rows = [[1] * 6, m] if lead == 1 else [
+        [1] * 6, points, [F.sub(a, F.mul(x, b)) for a, b in zip(m, points)]]
+    code = LinearCode(F, rows)
+    assert reference_distance(code) == 2 and minimum_c0(code) == {0}
+    assert min_distance_bruteforce(code) == 2
+
+
+def test_bruteforce_minimum_reached_only_at_c0_nonzero():
+    # (1, 1, 1, 1, 1) + c0 * (1, x, 1, x, 1) is lightest at c0 = -1 only,
+    # with weight 2; the other nonzero c0 leave at most two zeros.
+    F = F9
+    x = F.generator
+    code = LinearCode(F, [[1, x, 1, x, 1], [1, 1, 1, 1, 1]])
+    assert reference_distance(code) == 2 and minimum_c0(code) == {F.neg(1)}
+    assert min_distance_bruteforce(code) == 2
+
+
+def test_closed_levels_on_the_method_views():
+    # GF(289) is past LOOKUP_TABLE_MAX_ORDER.  An extended [6, 2] GRS code
+    # has the infinite key and a row_0 that vanishes at the extended column.
+    F = make_field(17, 1)
+    assert F.order > LOOKUP_TABLE_MAX_ORDER
+    mds = as_linear_code(GRSCode(F, [3, 50, 120, 200, 288], [7, 1, 99, 250, 3], 2,
+                                 extended=True))
+    assert mds.rows[0][-1] == 0
+    assert is_mds_by_rank(mds)
+    assert min_distance_bruteforce(mds) == reference_distance(mds) == 5
+    # a scaled copy of column 1 gives two equal finite keys
+    rows = [list(r) + [F.mul(40, r[1])] for r in mds.rows]
+    code = LinearCode(F, rows)
+    assert not is_mds_by_rank(code)
+    assert min_distance_bruteforce(code) == reference_distance(code) == 5
