@@ -1,10 +1,13 @@
 """Exact arithmetic in GF(q^2) together with its subfield GF(q), q = p^e.
 
-A tower is built once from (p, e).  The modulus is the lexicographically
-smallest monic irreducible polynomial of degree 2e over GF(p) (constant
-term fastest-varying), and the generator is the primitive element with
-the smallest packed coefficient vector.  Both choices are deterministic,
-so element encodings are stable across runs and machines.
+A tower is built once from (p, e).  The modulus is the first monic
+irreducible polynomial of degree 2e over GF(p), constant term
+fastest-varying, found by `poly.root_free_monic` over `PrimeField(p)`: the
+same search that picks the extended family's scaling polynomial over
+GF(q^2), so its enumeration order fixes every element encoding.  The
+generator is the primitive element with the smallest packed coefficient
+vector.  Both choices are deterministic, so element encodings are stable
+across runs and machines.
 
 Elements are plain ints in canonical encoding:
 
@@ -21,7 +24,10 @@ it is safe to share freely.
 from __future__ import annotations
 
 import functools
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
+
+from .poly import root_free_monic
 
 #: Elements are canonical integer encodings (see module docstring).
 Element = int
@@ -45,18 +51,7 @@ class ParameterError(ValueError):
 
 def is_prime(n: int) -> bool:
     """Deterministic trial-division primality test (desk-scale inputs)."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return prime_factors(n) == [n]
 
 
 def prime_factors(n: int) -> List[int]:
@@ -91,112 +86,33 @@ def factor_prime_power(q: int) -> Tuple[int, int]:
     return p, e
 
 
-# ----------------------------------------------------------------------
-# Polynomials over the prime field GF(p): coefficient lists, ascending
-# degree, used only to find the modulus and to bootstrap the tables.
-# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class PrimeField:
+    """GF(p) on the ints 0..p-1, with just what `root_free_monic` reads to
+    find a tower's modulus.  Equal and hashed by p, so the search's cache
+    keeps one entry per (p, degree)."""
 
-def _pf_trim(a: List[int]) -> List[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
+    p: int
 
+    @property
+    def order(self) -> int:
+        return self.p
 
-def _pf_mul(p: int, a: List[int], b: List[int]) -> List[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _pf_trim(out)
+    @property
+    def op_tables(self) -> Tuple["_MethodTable", "_MethodTable"]:
+        p = self.p
+        return (_MethodTable(lambda x, y: (x + y) % p),
+                _MethodTable(lambda x, y: x * y % p))
 
+    def neg(self, x: int) -> int:
+        return -x % self.p
 
-def _pf_mod(p: int, a: List[int], m: List[int]) -> List[int]:
-    # m need not be monic; reduce via an inverse of its leading coefficient
-    a = list(a)
-    dm = len(m) - 1
-    lc_inv = pow(m[-1], p - 2, p)
-    while len(a) - 1 >= dm and a:
-        c = (a[-1] * lc_inv) % p
-        shift = len(a) - 1 - dm
-        for j, y in enumerate(m):
-            a[shift + j] = (a[shift + j] - c * y) % p
-        _pf_trim(a)
-    return a
+    def inv(self, x: int) -> int:
+        return pow(x, -1, self.p)
 
+    def elements(self) -> range:
+        return range(self.p)
 
-def _pf_mulmod(p: int, a: List[int], b: List[int], m: List[int]) -> List[int]:
-    return _pf_mod(p, _pf_mul(p, a, b), m)
-
-
-def _pf_powmod(p: int, base: List[int], exp: int, m: List[int]) -> List[int]:
-    result = [1]
-    base = _pf_mod(p, base, m)
-    while exp:
-        if exp & 1:
-            result = _pf_mulmod(p, result, base, m)
-        base = _pf_mulmod(p, base, base, m)
-        exp >>= 1
-    return result
-
-
-def _pf_gcd(p: int, a: List[int], b: List[int]) -> List[int]:
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _pf_mod(p, a, b)
-    if a:
-        lc_inv = pow(a[-1], p - 2, p)
-        a = [(c * lc_inv) % p for c in a]
-    return a
-
-
-def _pf_is_irreducible(p: int, f: List[int]) -> bool:
-    """Irreducibility of f over GF(p) via the Frobenius power criterion."""
-    n = len(f) - 1
-    if n < 1 or f[-1] == 0:
-        return False
-    if n == 1:
-        return True
-    x = [0, 1]
-    powers = {}  # i -> x^(p^i) mod f
-    h = x
-    for i in range(1, n + 1):
-        h = _pf_powmod(p, h, p, f)
-        powers[i] = h
-    # x^(p^n) must reduce to x
-    if _pf_trim(list(powers[n])) != x:
-        return False
-    for r in prime_factors(n):
-        diff = list(powers[n // r])
-        while len(diff) < 2:
-            diff.append(0)
-        diff[1] = (diff[1] - 1) % p
-        g = _pf_gcd(p, f, _pf_trim(diff))
-        if len(g) - 1 > 0:
-            return False
-    return True
-
-
-def _smallest_irreducible(p: int, n: int) -> Tuple[int, ...]:
-    """First monic irreducible of degree n over GF(p), constant term
-    fastest-varying in the enumeration."""
-    for idx in range(p ** n):
-        coeffs = []
-        m = idx
-        for _ in range(n):
-            m, r = divmod(m, p)
-            coeffs.append(r)
-        coeffs.append(1)
-        if _pf_is_irreducible(p, coeffs):
-            return tuple(coeffs)
-    raise RuntimeError(f"no irreducible polynomial of degree {n} over GF({p})")
-
-
-# ----------------------------------------------------------------------
-# The tower itself
-# ----------------------------------------------------------------------
 
 class FieldTower:
     """GF(q^2) with its index-2 subfield GF(q), q = p**e.
@@ -221,7 +137,7 @@ class FieldTower:
         self.e = e
         self.q = p ** e
         self.order = self.q ** 2
-        self.modulus: Tuple[int, ...] = _smallest_irreducible(p, 2 * e)
+        self.modulus: Tuple[int, ...] = root_free_monic(PrimeField(p), 2 * e).coeffs
         # Declared here and filled on first use: adding the attribute after
         # __init__ instead made the field methods about a third slower on
         # CPython 3.11, which then drops its compact instance layout.
@@ -313,17 +229,12 @@ class FieldTower:
             frob[1 + j] = 1 + (j * self.q) % M
         self._frob = frob
 
-        # subfield enumeration: 0 first, then ascending powers of norm(generator)
-        g = self.norm(self.generator)
-        sub = [0]
-        x: Element = 1
-        for _ in range(self.q - 1):
-            sub.append(x)
-            x = self.mul(x, g)
-        self._subfield = tuple(sub)
+        # subfield enumeration: 0 first, then ascending powers of
+        # norm(generator) == generator**(q+1), whose encodings step by q + 1
+        self._subfield = (0,) + tuple(range(1, self.order, self.q + 1))
 
         fixed = sum(1 for y in range(self.order) if frob[y] == y)
-        if fixed != self.q or any(frob[y] != y for y in sub):
+        if fixed != self.q or any(frob[y] != y for y in self._subfield):
             raise RuntimeError("subfield verification failed")
 
     # -- element arithmetic ----------------------------------------------
@@ -418,19 +329,14 @@ class FieldTower:
         """Smallest-discrete-log v with v**(q+1) == w, for w in GF(q)*.
 
         norm(generator) generates GF(q)*, so w == norm(generator)**j for a
-        unique 0 <= j <= q-2; the returned v is generator**j.
+        unique 0 <= j <= q-2, that is w == 1 + j*(q+1); the returned v is
+        generator**j.
         """
         if w == 0:
             raise ValueError("norm equation has no nonzero solution for 0")
         if not self.in_subfield(w):
             raise ValueError(f"element {w} is not in the subfield GF({self.q})")
-        g = self.norm(self.generator)
-        cur: Element = 1
-        for j in range(self.q - 1):
-            if cur == w:
-                return 1 + j
-            cur = self.mul(cur, g)
-        raise RuntimeError("norm is not surjective onto GF(q)*")  # cannot happen
+        return 1 + (w - 1) // (self.q + 1)
 
     def root_of_unity(self, order: int) -> Element:
         """Primitive root of unity of the given order (must divide q^2 - 1)."""

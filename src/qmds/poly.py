@@ -4,8 +4,10 @@ Coefficients are canonical element ints, ascending degree, stored trimmed;
 the zero polynomial has degree -1.  Provides the pieces the code machinery
 needs: evaluation, Frobenius twisting, division/gcd, Lagrange
 interpolation, an irreducibility test and a deterministic search for the
-first monic irreducible polynomial of a degree (the scaling polynomial of
-the extended family).
+first monic irreducible polynomial of a degree.  That one search serves
+twice: over GF(q^2) it picks the scaling polynomial of the extended
+family, and over `field.PrimeField(p)` the modulus of GF(q^2) itself, so
+its enumeration order fixes every element encoding.
 
 The last two read the field's `op_tables` instead of calling its methods.
 The search evaluates each block of Q candidates, which differ only in the
@@ -18,9 +20,10 @@ the GF(Q)-linear map h -> h**Q mod f.
 from __future__ import annotations
 
 import functools
-from typing import Iterable, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, List, Sequence, Tuple
 
-from .field import Element, FieldTower
+if TYPE_CHECKING:
+    from .field import Element, FieldTower, PrimeField
 
 
 class Poly:
@@ -243,7 +246,7 @@ def is_irreducible(f: Poly) -> bool:
     return True
 
 
-def _gcd_degree(F: FieldTower, a: List[Element], b: List[Element]) -> int:
+def _gcd_degree(F: FieldTower | PrimeField, a: List[Element], b: List[Element]) -> int:
     """Degree of gcd(a, b) for coefficient lists with a trimmed and nonzero.
     Every remainder is kept trimmed, so its leading coefficient is a unit."""
     add, mul = F.op_tables
@@ -268,12 +271,16 @@ def _gcd_degree(F: FieldTower, a: List[Element], b: List[Element]) -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def root_free_monic(field: FieldTower, degree: int) -> Poly:
+def root_free_monic(field: FieldTower | PrimeField, degree: int) -> Poly:
     """First monic irreducible polynomial of the given degree >= 2,
     enumerating coefficients in ascending order with the constant term
     fastest-varying.  An irreducible polynomial of degree >= 2 has no root
     in the field, and at degree 2 or 3 a polynomial without a root is
     irreducible.
+
+    The same search finds the scaling polynomial over a FieldTower and the
+    tower's own modulus over its PrimeField, so this enumeration order
+    fixes every element encoding.
 
     Each block of Q consecutive candidates shares c_1..c_(l-1), so the
     search evaluates g = x**l + ... + c_1 x once at every element, per

@@ -2,7 +2,10 @@
 
 Field: {"p": int, "e": int, "modulus": [ints, ascending degree]}.
 Code:  {"field": {...}, "a": [int], "v": [int], "k": int, "extended": bool}
-with elements in the canonical integer encoding.  A construction result
+with elements in the canonical integer encoding.  The parsers take only
+JSON integers where int is written and only a JSON boolean for
+"extended"; a float, string or boolean in place of an integer is a
+FormatError, never truncated or coerced.  A construction result
 additionally carries the generator matrix (row-major), the quantum
 parameters, a provenance tag and the multiplier witnesses.
 
@@ -29,15 +32,27 @@ def field_to_obj(field: FieldTower) -> dict:
     return field.as_dict()
 
 
+def _int(obj: dict, key: str) -> int:
+    x = obj[key]
+    if type(x) is not int:  # bool is a subclass of int
+        raise FormatError(f"{key!r} must be an integer, not {type(x).__name__}")
+    return x
+
+
+def _ints(obj: dict, key: str) -> list:
+    xs = obj[key]
+    if type(xs) is not list or any(type(x) is not int for x in xs):
+        raise FormatError(f"{key!r} must be a list of integers")
+    return xs
+
+
 def field_from_obj(obj: dict, element_bound: int = DEFAULT_ELEMENT_BOUND) -> FieldTower:
     if not isinstance(obj, dict):
         raise FormatError("field description must be an object")
     try:
-        p = int(obj["p"])
-        e = int(obj["e"])
-        modulus = [int(c) for c in obj["modulus"]]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise FormatError(f"malformed field description: {exc}") from exc
+        p, e, modulus = _int(obj, "p"), _int(obj, "e"), _ints(obj, "modulus")
+    except KeyError as exc:
+        raise FormatError(f"malformed field description: missing key {exc}") from exc
     try:
         field = make_field(p, e, element_bound)
     except ValueError as exc:
@@ -67,13 +82,10 @@ def code_from_obj(obj: dict, element_bound: int = DEFAULT_ELEMENT_BOUND) -> GRSC
         if key not in obj:
             raise FormatError(f"missing key {key!r} in code description")
     field = field_from_obj(obj["field"], element_bound)
-    try:
-        a = tuple(int(x) for x in obj["a"])
-        v = tuple(int(x) for x in obj["v"])
-        k = int(obj["k"])
-        extended = bool(obj.get("extended", False))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise FormatError(f"malformed code description: {exc}") from exc
+    a, v, k = tuple(_ints(obj, "a")), tuple(_ints(obj, "v")), _int(obj, "k")
+    extended = obj.get("extended", False)
+    if type(extended) is not bool:
+        raise FormatError(f"'extended' must be a boolean, not {type(extended).__name__}")
     try:
         return GRSCode(field, a, v, k, extended)
     except ValueError as exc:

@@ -333,6 +333,16 @@ def test_infinite_numbers_in_a_code_file_exit_2(tmp_path, capsys, patch):
     assert "invalid parameters" in err
 
 
+def test_non_integer_number_in_a_code_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "float.json"
+    path.write_text(json.dumps(
+        {"field": {"p": 3, "e": 1, "modulus": [1, 0, 1]}, "a": [0, 1], "v": [1, 1], "k": 1.9}
+    ))
+    rc, out, err = run(capsys, ["verify", str(path)])
+    assert (rc, out) == (2, "")
+    assert "'k' must be an integer" in err
+
+
 def test_undecodable_code_file_exits_2(tmp_path, capsys):
     path = tmp_path / "latin1.json"
     path.write_bytes(b'{"k": "\xff"}')

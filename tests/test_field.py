@@ -4,11 +4,14 @@ import pytest
 
 from qmds.field import (
     DEFAULT_ELEMENT_BOUND,
+    MAX_ELEMENT_BOUND,
+    PrimeField,
     factor_prime_power,
     field_for_prime_power,
+    is_prime,
     make_field,
 )
-from qmds.poly import Poly
+from qmds.poly import Poly, root_free_monic
 
 # towers with q <= 9 (the construction range)
 SMALL = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
@@ -29,6 +32,50 @@ def test_smallest_towers():
     fixed = {x for x in F16.elements() if F16.pow(x, 4) == x}
     assert fixed == set(F16.subfield_elements())
     assert len(fixed) == 4
+
+
+# The modulus of every tower with p**(2e) <= MAX_ELEMENT_BOUND, ascending
+# coefficients.  Every element encoding in every file depends on it.  The
+# table was generated with the GF(p)-only search that the shared
+# `root_free_monic` search replaced.
+MODULI = {
+    (2, 1): (1, 1, 1), (2, 2): (1, 1, 0, 0, 1), (2, 3): (1, 1, 0, 0, 0, 0, 1),
+    (2, 4): (1, 1, 0, 1, 1, 0, 0, 0, 1),
+    (2, 5): (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1),
+    (2, 6): (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (2, 7): (1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (2, 8): (1, 1, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (3, 1): (1, 0, 1), (3, 2): (2, 1, 0, 0, 1), (3, 3): (2, 1, 0, 0, 0, 0, 1),
+    (3, 4): (2, 0, 1, 0, 0, 0, 0, 0, 1),
+    (3, 5): (1, 0, 2, 0, 0, 0, 0, 0, 0, 0, 1), (5, 1): (2, 0, 1),
+    (5, 2): (2, 0, 0, 0, 1), (5, 3): (2, 1, 0, 0, 0, 0, 1), (7, 1): (1, 0, 1),
+    (7, 2): (1, 1, 0, 0, 1), (11, 1): (1, 0, 1), (11, 2): (2, 1, 0, 0, 1),
+    (13, 1): (2, 0, 1), (13, 2): (2, 0, 0, 0, 1), (17, 1): (3, 0, 1),
+    (19, 1): (1, 0, 1), (23, 1): (1, 0, 1), (29, 1): (2, 0, 1),
+    (31, 1): (1, 0, 1), (37, 1): (2, 0, 1), (41, 1): (3, 0, 1),
+    (43, 1): (1, 0, 1), (47, 1): (1, 0, 1), (53, 1): (2, 0, 1),
+    (59, 1): (1, 0, 1), (61, 1): (2, 0, 1), (67, 1): (1, 0, 1),
+    (71, 1): (1, 0, 1), (73, 1): (5, 0, 1), (79, 1): (1, 0, 1),
+    (83, 1): (1, 0, 1), (89, 1): (3, 0, 1), (97, 1): (5, 0, 1),
+    (101, 1): (2, 0, 1), (103, 1): (1, 0, 1), (107, 1): (1, 0, 1),
+    (109, 1): (2, 0, 1), (113, 1): (3, 0, 1), (127, 1): (1, 0, 1),
+    (131, 1): (1, 0, 1), (137, 1): (3, 0, 1), (139, 1): (1, 0, 1),
+    (149, 1): (2, 0, 1), (151, 1): (1, 0, 1), (157, 1): (2, 0, 1),
+    (163, 1): (1, 0, 1), (167, 1): (1, 0, 1), (173, 1): (2, 0, 1),
+    (179, 1): (1, 0, 1), (181, 1): (2, 0, 1), (191, 1): (1, 0, 1),
+    (193, 1): (5, 0, 1), (197, 1): (2, 0, 1), (199, 1): (1, 0, 1),
+    (211, 1): (1, 0, 1), (223, 1): (1, 0, 1), (227, 1): (1, 0, 1),
+    (229, 1): (2, 0, 1), (233, 1): (3, 0, 1), (239, 1): (1, 0, 1),
+    (241, 1): (7, 0, 1), (251, 1): (1, 0, 1),
+}
+
+
+def test_every_admissible_modulus_is_pinned():
+    admissible = {(p, e) for p in range(2, 2 ** 8 + 1) if is_prime(p)
+                  for e in range(1, 9) if p ** (2 * e) <= MAX_ELEMENT_BOUND}
+    assert set(MODULI) == admissible
+    for (p, e), modulus in MODULI.items():
+        assert root_free_monic(PrimeField(p), 2 * e).coeffs == modulus, (p, e)
 
 
 def test_make_field_rejects_bad_input():

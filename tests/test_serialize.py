@@ -55,6 +55,24 @@ def test_code_from_obj_rejects_schema_violations():
         serialize.code_from_obj(broken)
 
 
+VALID_CODE = {"field": {"p": 3, "e": 1, "modulus": [1, 0, 1]}, "a": [0, 1], "v": [1, 1], "k": 1}
+
+
+@pytest.mark.parametrize("patch", [
+    {"k": 1.9},
+    {"a": [0.5, 1]},
+    {"extended": "false"},
+    {"field": {"p": 3.9, "e": 1, "modulus": [1, 0, 1]}},
+    {"k": True},
+    {"a": ["0", "1"]},
+])
+def test_code_from_obj_rejects_what_is_not_a_json_integer_or_boolean(patch):
+    # each one, truncated or coerced, would make a valid code
+    assert serialize.code_from_obj(VALID_CODE).k == 1
+    with pytest.raises(serialize.FormatError):
+        serialize.code_from_obj({**VALID_CODE, **patch})
+
+
 def test_dumps_round_trips_through_json():
     res = additive_coset_code(3, 3, 1)
     obj = serialize.result_to_obj(res)
