@@ -291,6 +291,20 @@ def test_element_bound_outside_its_range_exits_2(monkeypatch, capsys):
     assert rc == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["construct", "theorem1", "--q", "256", "--t", "1", "--k", "1"],
+    ["construct", "theorem2", "--q", "243", "--t", "1", "--d", "2"],
+])
+def test_construct_at_the_maximum_element_bound(capsys, argv):
+    # GF(2^16) and GF(3^10): the largest towers the ceiling admits
+    rc, out, err = run(capsys, ["--element-bound", str(2 ** 16)] + argv)
+    assert rc == 0
+    assert err.startswith("verified ")
+    obj = json.loads(out)
+    assert obj["quantum"]["q"] == int(argv[3])
+    assert obj["quantum"]["d"] == 2
+
+
 # ----------------------------------------------------------------------
 # huge or malformed input is rejected at the edge
 # ----------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from qmds.field import (
     DEFAULT_ELEMENT_BOUND,
     MAX_ELEMENT_BOUND,
+    FieldTower,
     PrimeField,
     factor_prime_power,
     field_for_prime_power,
@@ -76,6 +78,149 @@ def test_every_admissible_modulus_is_pinned():
     assert set(MODULI) == admissible
     for (p, e), modulus in MODULI.items():
         assert root_free_monic(PrimeField(p), 2 * e).coeffs == modulus, (p, e)
+
+
+# The packed generator (the primitive element with the smallest packed
+# coefficient vector) and the first 16 hex digits of
+# sha256(repr((exp, zech, frob))) of every tower in MODULI.  The table was
+# generated with the build that took one polynomial product per exp step
+# and one digit-wise vector addition per Zech entry, before the
+# table-driven step replaced it.
+TABLES = {
+    (2, 1): (2, "99cb745310cbd99c"),
+    (2, 2): (2, "00d09f6775792340"),
+    (2, 3): (2, "50dc7924d0d8fe51"),
+    (2, 4): (3, "6dcf952848cb1a5b"),
+    (2, 5): (2, "90b2d6949c6de026"),
+    (2, 6): (3, "6c89029a07f27a63"),
+    (2, 7): (7, "adb1d70636bbf8b1"),
+    (2, 8): (3, "944e4c0c421e2cb8"),
+    (3, 1): (4, "94056c4c660783c3"),
+    (3, 2): (3, "87aceae487320e62"),
+    (3, 3): (3, "8f478e15a7090b5f"),
+    (3, 4): (38, "79d1b4ebe8cdee7c"),
+    (3, 5): (34, "0ae8044e2b9743f3"),
+    (5, 1): (6, "9ab7fc0f95bca9f5"),
+    (5, 2): (6, "8861a5bffed6d85f"),
+    (5, 3): (5, "fddf378ba6f1a45b"),
+    (7, 1): (9, "406f7c5f97817fb5"),
+    (7, 2): (12, "e792883c118186cf"),
+    (11, 1): (15, "34ac765c35c88d5f"),
+    (11, 2): (11, "93f40d62c8aee2d5"),
+    (13, 1): (15, "c42bd22b8ead3932"),
+    (13, 2): (17, "196535827782ec24"),
+    (17, 1): (19, "3611e040b611794d"),
+    (19, 1): (22, "fbcbb382d01ff977"),
+    (23, 1): (25, "f13f93dc20cd52cf"),
+    (29, 1): (30, "5289325bf53d944f"),
+    (31, 1): (35, "ffbe9f3ce340a12f"),
+    (37, 1): (41, "4bf1c562eb2fae87"),
+    (41, 1): (43, "0b908fee4d4c3c33"),
+    (43, 1): (45, "9669819aa7bab2d7"),
+    (47, 1): (49, "86b33004cb9cfac8"),
+    (53, 1): (54, "fb24e8d6195566de"),
+    (59, 1): (62, "2505ba08276fe494"),
+    (61, 1): (63, "663e7659a6aa4c56"),
+    (67, 1): (74, "97a12a36c3ae01ca"),
+    (71, 1): (79, "93118fd8df322c84"),
+    (73, 1): (76, "50e76393d47adef2"),
+    (79, 1): (85, "820e92a1b4947ec1"),
+    (83, 1): (93, "f4e3cd4bd0ccec1b"),
+    (89, 1): (91, "123e26cd312a412a"),
+    (97, 1): (101, "bf5688d9ccae5de6"),
+    (101, 1): (102, "647d5f0d03f49269"),
+    (103, 1): (105, "a07cf36bc0eb5a2b"),
+    (107, 1): (109, "b7e9793b066e7948"),
+    (109, 1): (111, "d9c893ef2f6e6c5c"),
+    (113, 1): (117, "97af5aa380f85207"),
+    (127, 1): (135, "c7ef57776d6c72c8"),
+    (131, 1): (134, "17eddd82c4eaa010"),
+    (137, 1): (145, "60f52e7512d5aead"),
+    (139, 1): (143, "5fbdc2eaeaed46fb"),
+    (149, 1): (152, "e6b8432b7d192049"),
+    (151, 1): (160, "98f0cd3c3baf85c0"),
+    (157, 1): (159, "c322cd9f4be82578"),
+    (163, 1): (170, "2304781ca3195c5b"),
+    (167, 1): (169, "46f78deab8541f32"),
+    (173, 1): (174, "98e4e59f06fda3d4"),
+    (179, 1): (182, "6194f9e8ec46132b"),
+    (181, 1): (185, "a781654dff39cf19"),
+    (191, 1): (201, "670831851c8d429c"),
+    (193, 1): (198, "78734d3704a0e5cf"),
+    (197, 1): (200, "e87f9154d789fd8c"),
+    (199, 1): (212, "15ed6d1a628bf923"),
+    (211, 1): (215, "276736b0b087cbc8"),
+    (223, 1): (225, "86e0df341b65bccc"),
+    (227, 1): (229, "52ec68d039e90e73"),
+    (229, 1): (231, "c4be10d90b6ac39d"),
+    (233, 1): (241, "6d93941e2ca63091"),
+    (239, 1): (247, "d4925bf61056db42"),
+    (241, 1): (248, "a51b36e0d4a65bfa"),
+    (251, 1): (256, "3bbc636c0587473c"),
+}
+
+# Fields whose every exp step and every add(1, x) is checked against the
+# schoolbook reference; the others are sampled.  Their generators are
+# x**2 + x + 1 and x + 8.
+FULLY_CHECKED = {(2, 7), (127, 1)}
+
+
+def unpack(v, p, n):
+    digits = []
+    for _ in range(n):
+        v, r = divmod(v, p)
+        digits.append(r)
+    return digits
+
+
+def pack(digits, p):
+    return sum(d * p ** i for i, d in enumerate(digits))
+
+
+def schoolbook_times(v, g, p, modulus):
+    """v * g mod the monic modulus over GF(p), on packed coefficient
+    vectors (base-p digits, constant term lowest)."""
+    n = len(modulus) - 1
+    prod = [0] * (2 * n - 1)
+    for i, a in enumerate(unpack(v, p, n)):
+        if a:
+            for j, b in enumerate(unpack(g, p, n)):
+                prod[i + j] += a * b
+    for i in range(2 * n - 2, n - 1, -1):
+        c = prod[i] % p  # subtract c * x**(i - n) * modulus
+        for j, m in enumerate(modulus):
+            prod[i - n + j] -= c * m
+    return pack([c % p for c in prod[:n]], p)
+
+
+def test_every_admissible_tower_has_pinned_tables():
+    assert set(TABLES) == set(MODULI)
+    assert FULLY_CHECKED <= set(TABLES)
+
+
+@pytest.mark.parametrize("p,e", sorted(TABLES))
+def test_tables_are_pinned_and_match_a_schoolbook_reference(p, e):
+    F = FieldTower(p, e)  # not make_field: its cache would keep 70 towers
+    gen, exp, log = F._exp_log()
+    digest = hashlib.sha256(repr((exp, F._zech, F._frob)).encode()).hexdigest()
+    assert (gen, digest[:16]) == TABLES[p, e]
+    M, n = F.order - 1, 2 * e
+    assert exp[1] == gen and F.generator == 2
+    assert log[0] is None and all(log[v] == j for j, v in enumerate(exp))
+
+    if (p, e) in FULLY_CHECKED:
+        steps = range(M)
+    else:
+        # a random sample, the step that closes the cycle, and -1, whose
+        # lowest digit wraps to give 1 + (-1) == 0
+        rng = random.Random(p * 100 + e)
+        steps = rng.sample(range(M), min(M, 64)) + [M - 1, log[p - 1]]
+    for j in steps:
+        assert schoolbook_times(exp[j], gen, p, F.modulus) == exp[(j + 1) % M], j
+        digits = unpack(exp[j], p, n)
+        digits[0] = (digits[0] + 1) % p
+        s = pack(digits, p)
+        assert F.add(1, 1 + j) == (0 if s == 0 else 1 + log[s]), j
 
 
 def test_make_field_rejects_bad_input():
