@@ -14,13 +14,18 @@ The search evaluates each block of Q candidates, which differ only in the
 constant term, once at every field element and reads the root-free
 candidates off the block's image.  The irreducibility test steps
 x**(Q**i) mod f by one matrix-vector product each, through the matrix of
-the GF(Q)-linear map h -> h**Q mod f.
+the GF(Q)-linear map h -> h**Q mod f.  When the first root-free candidate
+is reducible, the search sieves out the candidates with an irreducible
+quadratic factor, one superblock of Q**2 candidates at a time.  At degree
+4 and 5 a root-free candidate the sieve leaves is irreducible; above, the
+test of those candidates starts at factor degree 3.  The sieve skips only reducible candidates, so
+the search returns the same polynomial as a test of every candidate.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import TYPE_CHECKING, Iterable, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, Iterator, List, Sequence, Tuple
 
 if TYPE_CHECKING:
     from .field import Element, FieldTower, PrimeField
@@ -193,6 +198,14 @@ def is_irreducible(f: Poly) -> bool:
     sum h_j x**(jQ).  So with the d rows x**(jQ) mod f (Berlekamp's
     Q-matrix), each next x**(Q**(i+1)) is one matrix-vector product.
     """
+    return _irreducible_from(f, 1)
+
+
+def _irreducible_from(f: Poly, start: int) -> bool:
+    """`is_irreducible` for an f already known to have no irreducible
+    factor of degree below `start`: only the gcds for i >= start are taken.
+    The search calls this directly, so its calls count the search's
+    irreducibility tests."""
     d = f.degree
     if d < 1:
         return False
@@ -239,10 +252,11 @@ def is_irreducible(f: Poly) -> bool:
                     scale = mul[c]
                     nxt = [add[s][scale[r]] for s, r in zip(nxt, row)]
             h = nxt
-        diff = list(h)
-        diff[1] = add[diff[1]][minus_one]
-        if _gcd_degree(F, monic, diff) > 0:
-            return False
+        if i >= start:
+            diff = list(h)
+            diff[1] = add[diff[1]][minus_one]
+            if _gcd_degree(F, monic, diff) > 0:
+                return False
     return True
 
 
@@ -270,28 +284,18 @@ def _gcd_degree(F: FieldTower | PrimeField, a: List[Element], b: List[Element]) 
     return len(a) - 1
 
 
-@functools.lru_cache(maxsize=None)
-def root_free_monic(field: FieldTower | PrimeField, degree: int) -> Poly:
-    """First monic irreducible polynomial of the given degree >= 2,
-    enumerating coefficients in ascending order with the constant term
-    fastest-varying.  An irreducible polynomial of degree >= 2 has no root
-    in the field, and at degree 2 or 3 a polynomial without a root is
-    irreducible.
+def _root_free_candidates(
+    F: FieldTower | PrimeField, degree: int
+) -> Iterator[Tuple[Element, List[Element]]]:
+    """Yield (c_0, [c_1, ..., c_(l-1), 1]) for every monic root-free
+    polynomial of the degree, with the constant term fastest-varying.  One
+    list is shared by the candidates of a block; callers must not change it.
 
-    The same search finds the scaling polynomial over a FieldTower and the
-    tower's own modulus over its PrimeField, so this enumeration order
-    fixes every element encoding.
-
-    Each block of Q consecutive candidates shares c_1..c_(l-1), so the
-    search evaluates g = x**l + ... + c_1 x once at every element, per
-    block.  The candidate g + c_0 is root-free iff -c_0 is not in the image
-    of g, and a block whose image is the whole field holds no root-free
-    candidate.  At degree <= 3 the first root-free candidate is the answer;
-    above, the root-free candidates go to `is_irreducible` in order.
+    Each block of Q consecutive candidates shares c_1..c_(l-1), so g =
+    x**l + ... + c_1 x is evaluated once at every element, per block.  The
+    candidate g + c_0 is root-free iff -c_0 is not in the image of g, and a
+    block whose image is the whole field holds no root-free candidate.
     """
-    if degree < 2:
-        raise ValueError(f"degree must be at least 2, got {degree}")
-    F = field
     Q = F.order
     add, mul = F.op_tables
     elems = F.elements()
@@ -314,9 +318,85 @@ def root_free_monic(field: FieldTower | PrimeField, degree: int) -> Poly:
             continue
         for c0 in elems:
             if not in_image[F.neg(c0)]:
-                cand = Poly(F, [c0] + upper)
-                if degree <= 3 or is_irreducible(cand):
-                    return cand
+                yield c0, upper
+
+
+def _quadratic_factor_marks(F: FieldTower | PrimeField, high: Sequence[Element]) -> bytearray:
+    """Bit i = c_1 * Q + c_0 of the result, marks[i >> 3] >> (i & 7) & 1,
+    is set iff the monic g + c_1 x + c_0, where g = sum high[j - 2] x**j
+    over j >= 2, has a monic irreducible quadratic factor.  `high` is c_2,
+    ..., c_(l-1), 1.  Packing eight marks to a byte keeps a superblock at
+    Q = 256 to 8 KB, so the search's peak memory stays level.
+
+    Each monic irreducible quadratic r = x**2 + b x + a divides exactly one
+    candidate: g == A x + B (mod r) marks (c_1, c_0) = (-A, -B).  The
+    quadratics are the root-free candidates of degree 2, and x**j mod r
+    == U_j x + V_j follows U_(j+1) = V_j - b U_j, V_(j+1) = -a U_j from
+    U_1 = 1, V_1 = 0.  Negating the coefficients of g up front gives -A and
+    -B directly.
+    """
+    Q = F.order
+    add, mul = F.op_tables
+    neg = [F.neg(c) for c in F.elements()]
+    minus_g = [mul[neg[c]] if c else None for c in high]
+    marks = bytearray((Q * Q + 7) // 8)
+    for a, (b, _) in _root_free_candidates(F, 2):
+        step_b, step_a = mul[neg[b]], mul[neg[a]]
+        U, V = 1, 0
+        A = B = 0
+        for row in minus_g:
+            U, V = add[V][step_b[U]], step_a[U]
+            if row is not None:
+                A = add[A][row[U]]
+                B = add[B][row[V]]
+        i = A * Q + B
+        marks[i >> 3] |= 1 << (i & 7)
+    return marks
+
+
+@functools.lru_cache(maxsize=None)
+def root_free_monic(field: FieldTower | PrimeField, degree: int) -> Poly:
+    """First monic irreducible polynomial of the given degree >= 2,
+    enumerating coefficients in ascending order with the constant term
+    fastest-varying.  An irreducible polynomial of degree >= 2 has no root
+    in the field, so only the root-free candidates of
+    `_root_free_candidates` are tried; at degree 2 or 3 the first of them
+    is the answer.
+
+    The same search finds the scaling polynomial over a FieldTower and the
+    tower's own modulus over its PrimeField, so this enumeration order
+    fixes every element encoding.
+
+    Above degree 3 the first root-free candidate goes to the full
+    irreducibility test.  Most searches end there.  Only when it is
+    reducible does the search start a sieve: each superblock of Q**2
+    candidates that share c_2..c_(l-1) gets `_quadratic_factor_marks`,
+    recomputed per superblock rather than kept, so memory stays level, and
+    a marked candidate is skipped.  A
+    root-free candidate without a quadratic factor is irreducible at degree
+    4 or 5; at degree 6 and above it still goes to the irreducibility test,
+    from factor degree 3 on.  The sieve only skips reducible candidates, so
+    the answer is the same first irreducible polynomial.
+    """
+    if degree < 2:
+        raise ValueError(f"degree must be at least 2, got {degree}")
+    F = field
+    Q = F.order
+    candidates = _root_free_candidates(F, degree)
+    c0, upper = next(candidates)
+    first = Poly(F, [c0] + upper)
+    if degree <= 3 or _irreducible_from(first, 1):
+        return first
+    high = marks = None
+    for c0, upper in candidates:
+        if upper[1:] != high:
+            high = upper[1:]
+            marks = _quadratic_factor_marks(F, high)
+        i = upper[0] * Q + c0
+        if not marks[i >> 3] >> (i & 7) & 1:
+            cand = Poly(F, [c0] + upper)
+            if degree <= 5 or _irreducible_from(cand, 3):
+                return cand
     raise RuntimeError("no irreducible polynomial found")  # cannot happen
 
 

@@ -4,9 +4,11 @@ import random
 
 import pytest
 
+from qmds import poly
 from qmds.field import field_for_prime_power, make_field
 from qmds.poly import (
     Poly,
+    _quadratic_factor_marks,
     is_irreducible,
     lagrange_interpolate,
     poly_gcd,
@@ -195,14 +197,27 @@ def test_is_irreducible_rejects_root_free_reducible_products(F):
         assert not is_irreducible(f), f
 
 
-# The polynomials the extended family scales by, pinned as the search
-# returned them before it evaluated whole blocks: (q, degree) -> coefficients.
+# The polynomials the extended family scales by, (q, degree) -> coefficients:
+# every pair with degree >= 4 of the default sweep grid, (16, 4) of
+# construct-highdeg, (13, 5), where the first root-free candidate is
+# reducible, and degree 2 at the largest q.  Pinned from a search that
+# tested every root-free candidate for irreducibility, before the sieve.
 PINNED_SCALING_POLYS = {
     (16, 4): (1, 4, 1, 0, 1),
+    (13, 5): (6, 1, 0, 0, 0, 1),
+    (9, 8): (2, 0, 0, 0, 0, 0, 0, 0, 1),
+    (9, 7): (3, 1, 0, 0, 0, 0, 0, 1),
     (9, 6): (2, 0, 1, 0, 0, 0, 1),
+    (9, 5): (2, 0, 0, 0, 0, 1),
+    (9, 4): (2, 0, 0, 0, 1),
+    (8, 7): (2, 0, 0, 0, 0, 0, 0, 1),
     (8, 6): (6, 1, 1, 0, 0, 0, 1),
+    (8, 5): (8, 1, 0, 0, 0, 1),
     (8, 4): (1, 2, 1, 0, 1),
+    (7, 6): (2, 0, 0, 0, 0, 0, 1),
     (7, 5): (4, 1, 0, 0, 0, 1),
+    (7, 4): (2, 0, 0, 0, 1),
+    (5, 4): (2, 0, 0, 0, 1),
     (128, 2): (6, 1, 1),
     (127, 2): (2, 0, 1),
     (125, 2): (2, 0, 1),
@@ -215,11 +230,76 @@ def test_root_free_monic_returns_the_pinned_polynomial(q, degree):
         PINNED_SCALING_POLYS[q, degree]
 
 
-@pytest.mark.parametrize("F", [F4, F9], ids=["F4", "F9"])
-@pytest.mark.parametrize("deg", [2, 3, 4])
+@pytest.mark.parametrize("F,deg", [
+    pytest.param(F, deg, id=f"{deg}-F{F.order}")
+    for F, top in ((F4, 6), (F9, 5)) for deg in range(2, top + 1)])
 def test_root_free_monic_is_the_first_reference_irreducible(F, deg):
     first = next(f for f in monic_polys(F, deg) if reference_irreducible(f))
     assert root_free_monic(F, deg) == first
+
+
+def reference_quadratic_factor_marks(F, high):
+    """The mark of each (c1, c0), in the order c1 * Q + c0, by trial
+    division of the candidate by every monic irreducible quadratic."""
+    quadratics = [g for g in monic_polys(F, 2) if reference_irreducible(g)]
+    return [any((Poly(F, (c0, c1) + high) % r).is_zero() for r in quadratics)
+            for c1 in range(F.order) for c0 in range(F.order)]
+
+
+def superblock_highs(F, degree, count, rng):
+    """c_2, ..., c_(l-1), 1 of `count` superblocks: the first, the last and
+    random ones, or all of them when there are no more than `count`."""
+    every = list(itertools.product(range(F.order), repeat=degree - 2))
+    if len(every) > count:
+        every = [every[0], every[-1]] + rng.sample(every[1:-1], count - 2)
+    return [digits[::-1] + (1,) for digits in every]
+
+
+@pytest.mark.parametrize("F,degree,count", [
+    (F4, 4, 16), (F4, 5, 64), (F4, 6, 256),
+    (F9, 4, 8), (F9, 5, 8), (F9, 6, 8),
+    (F16, 4, 3), (F16, 5, 3),
+], ids=lambda v: f"F{v.order}" if hasattr(v, "order") else str(v))
+def test_quadratic_factor_marks_match_trial_division(F, degree, count):
+    rng = random.Random(F.order * degree)
+    for high in superblock_highs(F, degree, count, rng):
+        marks = _quadratic_factor_marks(F, high)
+        bits = [bool(marks[i >> 3] >> (i & 7) & 1) for i in range(F.order ** 2)]
+        assert bits == reference_quadratic_factor_marks(F, high), high
+
+
+# Calls to the irreducibility test per search.  Testing every root-free
+# candidate up to the answer would take 16,449 calls at (16, 4), 1,089 at
+# (8, 4), 2,361 at (9, 6) and 2 at (13, 5).  At (8, 6) the reducible
+# root-free candidates before the answer are all products of two cubics,
+# which the sieve cannot see, so all 1,387 are still tested.
+IRREDUCIBILITY_TESTS = {
+    (16, 4): 1,
+    (8, 4): 1,
+    (13, 5): 1,
+    (7, 5): 1,
+    (9, 6): 722,
+    (8, 6): 1387,
+}
+
+
+@pytest.mark.parametrize("q,degree", IRREDUCIBILITY_TESTS)
+def test_root_free_monic_sieves_before_testing_irreducibility(q, degree, monkeypatch):
+    calls = []
+    test = poly._irreducible_from
+
+    def counting(f, start):
+        calls.append(start)
+        return test(f, start)
+
+    monkeypatch.setattr(poly, "_irreducible_from", counting)
+    # __wrapped__ skips the cache, so the search runs here
+    m = root_free_monic.__wrapped__(field_for_prime_power(q), degree)
+    assert m.coeffs == PINNED_SCALING_POLYS[q, degree]
+    assert len(calls) == IRREDUCIBILITY_TESTS[q, degree]
+    # the first root-free candidate gets the full test, the sieved ones
+    # start past the quadratic factors
+    assert calls == [1] + [3] * (len(calls) - 1)
 
 
 def test_root_free_monic_rejects_low_degree():
