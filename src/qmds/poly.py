@@ -14,12 +14,13 @@ The search evaluates each block of Q candidates, which differ only in the
 constant term, once at every field element and reads the root-free
 candidates off the block's image.  The irreducibility test steps
 x**(Q**i) mod f by one matrix-vector product each, through the matrix of
-the GF(Q)-linear map h -> h**Q mod f.  When the first root-free candidate
-is reducible, the search sieves out the candidates with an irreducible
-quadratic factor, one superblock of Q**2 candidates at a time.  At degree
-4 and 5 a root-free candidate the sieve leaves is irreducible; above, the
-test of those candidates starts at factor degree 3.  The sieve skips only reducible candidates, so
-the search returns the same polynomial as a test of every candidate.
+the GF(Q)-linear map h -> h**Q mod f.  Once its failed tests have cost
+about as much as sieving, the search sieves out the candidates with an
+irreducible quadratic factor, one superblock of Q**2 candidates at a
+time.  At degree 4 and 5 a root-free candidate the sieve leaves is
+irreducible; above, its test starts at factor degree 3.  The sieve skips
+only reducible candidates, so the search returns the same polynomial as
+a test of every candidate.
 """
 
 from __future__ import annotations
@@ -321,7 +322,9 @@ def _root_free_candidates(
                 yield c0, upper
 
 
-def _quadratic_factor_marks(F: FieldTower | PrimeField, high: Sequence[Element]) -> bytearray:
+def _quadratic_factor_marks(
+    F: FieldTower | PrimeField, high: Sequence[Element]
+) -> bytearray:
     """Bit i = c_1 * Q + c_0 of the result, marks[i >> 3] >> (i & 7) & 1,
     is set iff the monic g + c_1 x + c_0, where g = sum high[j - 2] x**j
     over j >= 2, has a monic irreducible quadratic factor.  `high` is c_2,
@@ -354,6 +357,23 @@ def _quadratic_factor_marks(F: FieldTower | PrimeField, high: Sequence[Element])
     return marks
 
 
+#: Largest field order the search sieves over: a superblock's marks take
+#: Q**2 / 8 bytes, 2 MB at Q = 4096 and 32 MB at Q = 16384.
+SIEVE_MAX_ORDER = 4096
+
+
+def _tests_before_sieve(Q: int) -> float:
+    """Failed irreducibility tests after which the search starts sieving:
+    about as many as the marks of one superblock cost.  Q**2 / 64 is within
+    a factor of 2 of the measured ratio (one set of marks took the time of
+    40-80 tests at Q = 64, 660-1,240 at Q = 256 and 13,000-33,000 at Q =
+    1024).  A search that ends within this many failures never sieves,
+    and one that sieves has first spent about one round of marks on
+    failed tests, so it costs at most about twice what testing alone
+    would.  Above SIEVE_MAX_ORDER the search never sieves."""
+    return Q * Q // 64 if Q <= SIEVE_MAX_ORDER else float("inf")
+
+
 @functools.lru_cache(maxsize=None)
 def root_free_monic(field: FieldTower | PrimeField, degree: int) -> Poly:
     """First monic irreducible polynomial of the given degree >= 2,
@@ -367,36 +387,42 @@ def root_free_monic(field: FieldTower | PrimeField, degree: int) -> Poly:
     tower's own modulus over its PrimeField, so this enumeration order
     fixes every element encoding.
 
-    Above degree 3 the first root-free candidate goes to the full
-    irreducibility test.  Most searches end there.  Only when it is
-    reducible does the search start a sieve: each superblock of Q**2
-    candidates that share c_2..c_(l-1) gets `_quadratic_factor_marks`,
-    recomputed per superblock rather than kept, so memory stays level, and
-    a marked candidate is skipped.  A
-    root-free candidate without a quadratic factor is irreducible at degree
-    4 or 5; at degree 6 and above it still goes to the irreducibility test,
-    from factor degree 3 on.  The sieve only skips reducible candidates, so
-    the answer is the same first irreducible polynomial.
+    Above degree 3 the root-free candidates go to the irreducibility test
+    in order, from factor degree 2 on, and most searches end within a few
+    tests.  Once `_tests_before_sieve` of them have failed, the search
+    sieves: each superblock of Q**2 candidates that share c_2..c_(l-1)
+    gets `_quadratic_factor_marks`, recomputed per superblock rather than
+    kept, so memory stays level, and a marked candidate is skipped.  At
+    degree 4 or 5 an unmarked root-free candidate is irreducible; above,
+    it still goes to the test, from factor degree 3 on.  The sieve only
+    skips reducible candidates, so the answer is the same first
+    irreducible polynomial.
     """
     if degree < 2:
         raise ValueError(f"degree must be at least 2, got {degree}")
     F = field
     Q = F.order
-    candidates = _root_free_candidates(F, degree)
-    c0, upper = next(candidates)
-    first = Poly(F, [c0] + upper)
-    if degree <= 3 or _irreducible_from(first, 1):
-        return first
+    failures_left = _tests_before_sieve(Q)
     high = marks = None
-    for c0, upper in candidates:
-        if upper[1:] != high:
-            high = upper[1:]
-            marks = _quadratic_factor_marks(F, high)
-        i = upper[0] * Q + c0
-        if not marks[i >> 3] >> (i & 7) & 1:
-            cand = Poly(F, [c0] + upper)
-            if degree <= 5 or _irreducible_from(cand, 3):
-                return cand
+    for c0, upper in _root_free_candidates(F, degree):
+        if degree <= 3:
+            return Poly(F, [c0] + upper)
+        # the least degree an irreducible factor of the candidate can have
+        least = 2
+        if failures_left <= 0:
+            if upper[1:] != high:
+                high = upper[1:]
+                marks = _quadratic_factor_marks(F, high)
+            i = upper[0] * Q + c0
+            if marks[i >> 3] >> (i & 7) & 1:
+                continue
+            if degree <= 5:
+                return Poly(F, [c0] + upper)
+            least = 3
+        cand = Poly(F, [c0] + upper)
+        if _irreducible_from(cand, least):
+            return cand
+        failures_left -= 1
     raise RuntimeError("no irreducible polynomial found")  # cannot happen
 
 

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import random
 
 import pytest
@@ -199,8 +200,8 @@ def test_is_irreducible_rejects_root_free_reducible_products(F):
 
 # The polynomials the extended family scales by, (q, degree) -> coefficients:
 # every pair with degree >= 4 of the default sweep grid, (16, 4) of
-# construct-highdeg, (13, 5), where the first root-free candidate is
-# reducible, and degree 2 at the largest q.  Pinned from a search that
+# construct-highdeg, (13, 5) and (127, 5), where the first root-free
+# candidate is reducible, and degree 2 at the largest q.  Pinned from a search that
 # tested every root-free candidate for irreducibility, before the sieve.
 PINNED_SCALING_POLYS = {
     (16, 4): (1, 4, 1, 0, 1),
@@ -218,6 +219,7 @@ PINNED_SCALING_POLYS = {
     (7, 5): (4, 1, 0, 0, 0, 1),
     (7, 4): (2, 0, 0, 0, 1),
     (5, 4): (2, 0, 0, 0, 1),
+    (127, 5): (9, 1, 0, 0, 0, 1),
     (128, 2): (6, 1, 1),
     (127, 2): (2, 0, 1),
     (125, 2): (2, 0, 1),
@@ -268,18 +270,21 @@ def test_quadratic_factor_marks_match_trial_division(F, degree, count):
         assert bits == reference_quadratic_factor_marks(F, high), high
 
 
-# Calls to the irreducibility test per search.  Testing every root-free
+# Calls to the irreducibility test per search, (q, degree) -> (before the
+# sieve starts, after).  The sieve starts after Q**2 // 64 failed tests:
+# 1,024 at Q = 256, 102 at Q = 81, 64 at Q = 64.  Testing every root-free
 # candidate up to the answer would take 16,449 calls at (16, 4), 1,089 at
-# (8, 4), 2,361 at (9, 6) and 2 at (13, 5).  At (8, 6) the reducible
-# root-free candidates before the answer are all products of two cubics,
-# which the sieve cannot see, so all 1,387 are still tested.
+# (8, 4) and 2,361 at (9, 6).  (13, 5) ends at its second test, long
+# before the sieve would pay off.  At (8, 6) the reducible root-free
+# candidates before the answer are all products of two cubics, which the
+# sieve cannot see, so all 1,387 are still tested.
 IRREDUCIBILITY_TESTS = {
-    (16, 4): 1,
-    (8, 4): 1,
-    (13, 5): 1,
-    (7, 5): 1,
-    (9, 6): 722,
-    (8, 6): 1387,
+    (16, 4): (1024, 0),
+    (8, 4): (64, 0),
+    (13, 5): (2, 0),
+    (7, 5): (1, 0),
+    (9, 6): (102, 704),
+    (8, 6): (64, 1323),
 }
 
 
@@ -296,10 +301,32 @@ def test_root_free_monic_sieves_before_testing_irreducibility(q, degree, monkeyp
     # __wrapped__ skips the cache, so the search runs here
     m = root_free_monic.__wrapped__(field_for_prime_power(q), degree)
     assert m.coeffs == PINNED_SCALING_POLYS[q, degree]
-    assert len(calls) == IRREDUCIBILITY_TESTS[q, degree]
-    # the first root-free candidate gets the full test, the sieved ones
-    # start past the quadratic factors
-    assert calls == [1] + [3] * (len(calls) - 1)
+    # a root-free candidate has no linear factor, and one the sieve leaves
+    # no quadratic factor either, so the test starts past them
+    before, after = IRREDUCIBILITY_TESTS[q, degree]
+    assert calls == [2] * before + [3] * after
+
+
+@pytest.mark.parametrize("q,degree", [(13, 5), (127, 5)])
+def test_root_free_monic_does_not_sieve_for_an_early_answer(q, degree, monkeypatch):
+    # both answers are the second root-free candidate; marking a superblock
+    # would cost about 450 tests at Q = 169 and take 32 MB at Q = 16129
+    def no_marks(F, high):
+        raise AssertionError("the search built marks")
+
+    monkeypatch.setattr(poly, "_quadratic_factor_marks", no_marks)
+    m = root_free_monic.__wrapped__(field_for_prime_power(q), degree)
+    assert m.coeffs == PINNED_SCALING_POLYS[q, degree]
+
+
+def test_sieve_waits_for_its_cost_and_stays_small():
+    assert poly._tests_before_sieve(64) == 64
+    assert poly._tests_before_sieve(256) == 1024
+    assert poly._tests_before_sieve(poly.SIEVE_MAX_ORDER) == 2 ** 18
+    # a superblock's marks, Q**2 / 8 bytes, stay within 2 MB
+    assert poly.SIEVE_MAX_ORDER ** 2 // 8 <= 2 ** 21
+    assert poly._tests_before_sieve(poly.SIEVE_MAX_ORDER + 1) == math.inf
+    assert poly._tests_before_sieve(128 ** 2) == math.inf
 
 
 def test_root_free_monic_rejects_low_degree():
