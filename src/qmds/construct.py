@@ -14,6 +14,7 @@ suite; both families are re-verified independently by the verifier module.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -145,6 +146,20 @@ class AdditiveCosetDesign:
         self.points: Tuple[Element, ...] = tuple(pts)
         if len(set(self.points)) != t * field.q:
             raise RuntimeError("coset points are not distinct")
+        # alpha**q - alpha: every product across two cosets carries it
+        self.span: Element = field.sub(field.frobenius(self.alpha), self.alpha)
+        self._span_power = field.pow(self.span, t - 1)
+        # prod_{j != i}(a_i - a_j), and so w_i, depends only on the coset
+        # of a_i: one product and one inversion per coset, O(t^2 + n) in all
+        scale = field.mul(self.within_coset_product(), self._span_power)
+        self._coset_products: Tuple[Element, ...] = tuple(
+            functools.reduce(field.mul, (field.sub(bs, bj) for bj in self.betas if bj != bs), scale)
+            for bs in self.betas
+        )
+        #: (w_1, ..., w_n): w_i is the inverse of difference_product(i)
+        self.weights: Tuple[Element, ...] = tuple(
+            w for prod in self._coset_products for w in (field.inv(prod),) * field.q
+        )
 
     @property
     def n(self) -> int:
@@ -165,7 +180,7 @@ class AdditiveCosetDesign:
         F = self.field
         if not F.in_subfield(tau):
             raise ValueError("tau must lie in the subfield")
-        return F.mul(tau, F.sub(F.frobenius(self.alpha), self.alpha))
+        return F.mul(tau, self.span)
 
     def within_coset_product(self) -> Element:
         """prod over the q-1 differences between a point and its coset
@@ -179,31 +194,26 @@ class AdditiveCosetDesign:
         if s == j:
             raise ValueError("cosets must differ")
         F = self.field
-        gap = F.sub(self.betas[s], self.betas[j])
-        return F.mul(gap, F.sub(F.frobenius(self.alpha), self.alpha))
+        return F.mul(F.sub(self.betas[s], self.betas[j]), self.span)
 
     def difference_product(self, i: int) -> Element:
-        """Closed form of prod_{j != i}(a_i - a_j); its inverse is w_i."""
+        """Closed form of prod_{j != i}(a_i - a_j); its inverse is w_i.
+        For a_i in coset s it is the within-coset product times the t-1
+        cross-coset products: (-1)**q * (alpha**q - alpha)**(t-1) *
+        prod_{j != s}(beta_s - beta_j)."""
         if not 0 <= i < self.n:
             raise ValueError(f"index {i} out of range")
-        F = self.field
-        s = self.coset_of(i)
-        acc = self.within_coset_product()
-        span = F.sub(F.frobenius(self.alpha), self.alpha)
-        acc = F.mul(acc, F.pow(span, self.t - 1))
-        for j in range(self.t):
-            if j != s:
-                acc = F.mul(acc, F.sub(self.betas[s], self.betas[j]))
-        return acc
+        return self._coset_products[self.coset_of(i)]
 
     def w(self, i: int) -> Element:
-        return self.field.inv(self.difference_product(i))
+        if not 0 <= i < self.n:
+            raise ValueError(f"index {i} out of range")
+        return self.weights[i]
 
     def subfield_unit(self, i: int) -> Element:
         """w_i * (alpha**q - alpha)**(t-1), which always lands in GF(q)*."""
         F = self.field
-        span = F.sub(F.frobenius(self.alpha), self.alpha)
-        u = F.mul(self.w(i), F.pow(span, self.t - 1))
+        u = F.mul(self.w(i), self._span_power)
         if u == 0 or not F.in_subfield(u):
             raise RuntimeError("scaled multiplier is not a subfield unit")
         return u
@@ -224,11 +234,10 @@ def _additive_code_any_k(field: FieldTower, t: int, k: int) -> ConstructionResul
     # No dimension-bound check: the verifier's probe uses this to examine
     # what happens just past the admissible range.
     design = AdditiveCosetDesign(field, t)
-    w = [design.w(i) for i in range(design.n)]
     v = tuple(field.solve_norm(design.subfield_unit(i)) for i in range(design.n))
     code = GRSCode(field, design.points, v, k)
     quantum = QuantumParams.from_classical(code.length, k, field.q, PROVENANCE_ADDITIVE)
-    return ConstructionResult(code=code, quantum=quantum, witnesses={"w": w})
+    return ConstructionResult(code=code, quantum=quantum, witnesses={"w": list(design.weights)})
 
 
 # ----------------------------------------------------------------------
@@ -261,6 +270,16 @@ class MultiplicativeCosetDesign:
         self.points: Tuple[Element, ...] = tuple(pts)
         if len(set(self.points)) != t * (q + 1) + 1:
             raise RuntimeError("coset points are not distinct")
+        # prod_{s != r}(beta_r**(q+1) - beta_s**(q+1)) once per coset r,
+        # O(t^2); then w_i once per point, O(n)
+        self._coset_products: Tuple[Element, ...] = tuple(
+            functools.reduce(field.mul, (field.sub(nr, ns) for ns in norms if ns != nr), 1)
+            for nr in norms
+        )
+        #: (w_1, ..., w_n): w_i is the inverse of difference_product(i)
+        self.weights: Tuple[Element, ...] = tuple(
+            field.inv(self.difference_product(i)) for i in range(self.n)
+        )
 
     @property
     def n(self) -> int:
@@ -289,12 +308,7 @@ class MultiplicativeCosetDesign:
         if not 0 <= i < self.n - 1:
             raise ValueError(f"index {i} is not a nonzero point")
         F = self.field
-        r = self.coset_of(i)
-        acc = F.norm(self.points[i])
-        for s in range(self.t):
-            if s != r:
-                acc = F.mul(acc, F.sub(F.norm(self.betas[r]), F.norm(self.betas[s])))
-        return acc
+        return F.mul(F.norm(self.points[i]), self._coset_products[self.coset_of(i)])
 
     def difference_product(self, i: int) -> Element:
         if i == self.n - 1:
@@ -302,12 +316,14 @@ class MultiplicativeCosetDesign:
         return self.nonzero_difference_product(i)
 
     def w(self, i: int) -> Element:
-        return self.field.inv(self.difference_product(i))
+        if not 0 <= i < self.n:
+            raise ValueError(f"index {i} out of range")
+        return self.weights[i]
 
     def gamma(self) -> Tuple[Element, ...]:
         """Norm-equation solutions gamma_i with gamma_i**(q+1) == -w_i."""
         F = self.field
-        return tuple(F.solve_norm(F.neg(self.w(i))) for i in range(self.n))
+        return tuple(F.solve_norm(F.neg(w)) for w in self.weights)
 
 
 def special_scaling_poly(field: FieldTower) -> Poly:
@@ -340,8 +356,6 @@ def select_scaling_poly(design: MultiplicativeCosetDesign, k: int) -> Poly:
         m = Poly(F, (F.neg(spare), 1))
     else:
         m = root_free_monic(F, ell)
-    if any(m(a) == 0 for a in design.points):
-        raise RuntimeError("scaling polynomial vanishes at an evaluation point")
     return m
 
 
@@ -356,8 +370,11 @@ def multiplicative_coset_code(
     check_admissible(q, FAMILY_EXTENDED, t, k)
     design = MultiplicativeCosetDesign(field, t)
     m = select_scaling_poly(design, k)
+    m_values = [m(a) for a in design.points]
+    if not all(m_values):
+        raise RuntimeError("scaling polynomial vanishes at an evaluation point")
     gamma = design.gamma()
-    v = tuple(field.mul(m(a), g) for a, g in zip(design.points, gamma))
+    v = tuple(field.mul(x, g) for x, g in zip(m_values, gamma))
     provenance = PROVENANCE_EXTENDED
     if (t, k) == (q - 1, q - 1):
         unit = field.solve_norm(field.inv(field.from_int(2)))
@@ -366,7 +383,7 @@ def multiplicative_coset_code(
     code = GRSCode(field, design.points, v, k, extended=True)
     quantum = QuantumParams.from_classical(code.length, k, q, provenance)
     witnesses = {
-        "w": [design.w(i) for i in range(design.n)],
+        "w": list(design.weights),
         "m_coeffs": list(m.coeffs),
         "gamma": list(gamma),
     }

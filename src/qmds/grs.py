@@ -18,7 +18,8 @@ k-subset that extends it, and settles the last two columns of every subset
 with about N projective-key insertions per (k-2)-column prefix.  Both hold
 O(k*N) field elements and read the field's add/mul lookup tables
 (`FieldTower.op_tables`).  Their caps still count all Q^k codewords and
-all C(N, k) subsets.
+all C(N, k) subsets.  The generator rows and the Hermitian Gram product
+read the same tables.
 """
 
 from __future__ import annotations
@@ -106,6 +107,9 @@ class LinearCode:
                 object.__setattr__(self, "length", width)
             elif self.length != width:
                 raise ValueError("declared length disagrees with the generator rows")
+            order = self.field.order
+            if not all(0 <= x < order for r in rows for x in r):
+                raise ValueError("generator entries must be field elements")
             if rank(self.field, rows) != len(rows):
                 raise ValueError("generator matrix must have full row rank")
         elif self.length < 0:
@@ -118,14 +122,18 @@ class LinearCode:
 
 def generator_matrix(code: GRSCode) -> Matrix:
     """k x length matrix: row r is (v_i * a_i**r); the extended variant has
-    one extra column equal to the k-th standard basis vector."""
-    F = code.field
+    one extra column equal to the k-th standard basis vector.
+
+    Row 0 is v (0**0 == 1) and row r+1 is row r times a_i, column by
+    column, through the rows mul[a_i] of the field's lookup tables."""
+    _, mul = code.field.op_tables
+    by_point = [mul[ai] for ai in code.a]
+    row = list(code.v)
     rows: Matrix = []
     for r in range(code.k):
-        row = [F.mul(vi, F.pow(ai, r)) for ai, vi in zip(code.a, code.v)]
-        if code.extended:
-            row.append(1 if r == code.k - 1 else 0)
-        rows.append(row)
+        if r:
+            row = [m[x] for m, x in zip(by_point, row)]
+        rows.append(row + [int(r == code.k - 1)] if code.extended else row)
     return rows
 
 
@@ -217,18 +225,22 @@ def nullspace_dual(code: LinearCode, hermitian: bool = False) -> LinearCode:
 
 
 def hermitian_gram(field: FieldTower, rows: Sequence[Sequence[Element]]) -> Matrix:
-    """G^(q) * G^T for the given generator rows."""
-    out: Matrix = []
-    for r in rows:
-        rq = [field.frobenius(x) for x in r]
-        out_row = []
-        for s in rows:
+    """G^(q) * G^T for the given generator rows.
+
+    Each row's Frobenius image is taken once and kept as rows mul[x^q] of
+    the field's lookup tables; the sums accumulate through add.  Entry
+    (j, i) is the Frobenius image of entry (i, j), because x**(q^2) == x,
+    so only the entries with j >= i are summed."""
+    add, mul = field.op_tables
+    out: Matrix = [[0] * len(rows) for _ in rows]
+    for i, r in enumerate(rows):
+        rq = [mul[x] for x in map(field.frobenius, r)]
+        for j in range(i, len(rows)):
             acc: Element = 0
-            for x, y in zip(rq, s):
-                if x and y:
-                    acc = field.add(acc, field.mul(x, y))
-            out_row.append(acc)
-        out.append(out_row)
+            for m, y in zip(rq, rows[j]):
+                acc = add[acc][m[y]]
+            out[i][j] = acc
+            out[j][i] = field.frobenius(acc)
     return out
 
 

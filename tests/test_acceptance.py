@@ -43,6 +43,10 @@ SWEEP_Q = (2, 3, 4, 5, 7, 8, 9)
 #: sha256 of the default sweep's CSV: the byte-for-byte output contract.
 SWEEP_SHA256 = "d3e6323e6eb953b6b8942293e21a629841b646b0006b59269f55a41337e930ed"
 
+#: sha256 of `qmds sweep --q 11 --format csv`: the same contract past the
+#: default grid.
+SWEEP_Q11_SHA256 = "ba59f32bd27f68e1c402e226df5ad325618e0630e0da45422736b4827bb663eb"
+
 
 def _report(number, label):
     print(f"ACCEPTANCE {number} {label}: PASS")
@@ -205,3 +209,13 @@ def test_criterion_8_full_sweep_is_byte_identical(tmp_path):
     assert statuses.count(STATUS_OK) == 269
     assert statuses.count(STATUS_EXCLUDED) == 3
     _report(8, f"two independent full sweeps byte-identical ({len(rows)} rows)")
+
+
+def test_sweep_past_the_default_grid_is_byte_identical(capsys):
+    assert cli_main(["sweep", "--q", "11", "--format", "csv"]) == 0
+    out = capsys.readouterr().out
+    header, *rows = out.splitlines()
+    assert header == "q,t,k,family,N,K,D,n,kq,d,status"
+    assert len(rows) == 130
+    assert [row.rsplit(",", 1)[1] for row in rows].count(STATUS_OK) == 130
+    assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_Q11_SHA256

@@ -63,6 +63,24 @@ def test_linear_code_validation():
         LinearCode(F9, ())  # zero-dimensional needs an explicit length
 
 
+def _rank_must_not_run(*args):
+    raise AssertionError("the rank test ran on an entry outside the field")
+
+
+def test_linear_code_rejects_a_negative_entry(monkeypatch):
+    # -1 would index the last row of a lookup table: GF(4) element 3
+    monkeypatch.setattr("qmds.grs.rank", _rank_must_not_run)
+    with pytest.raises(ValueError, match="field elements"):
+        LinearCode(F4, ((1, -1, 2),))
+
+
+def test_linear_code_rejects_an_entry_past_the_field(monkeypatch):
+    # 7 is past GF(4); brute force used to fail on it with an IndexError
+    monkeypatch.setattr("qmds.grs.rank", _rank_must_not_run)
+    with pytest.raises(ValueError, match="field elements"):
+        LinearCode(F4, ((1, 7, 2),))
+
+
 # ----------------------------------------------------------------------
 # generator matrix and encoding
 # ----------------------------------------------------------------------
