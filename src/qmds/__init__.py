@@ -9,7 +9,6 @@ from .construct import (
     ParameterError,
     QuantumParams,
     additive_coset_code,
-    derive_quantum,
     dimension_bound,
     grid,
     multiplicative_coset_code,
@@ -37,6 +36,7 @@ from .poly import Poly, lagrange_interpolate, root_free_monic
 from .verify import (
     SweepRow,
     VerificationReport,
+    derive_quantum,
     emit,
     five_one_five_search,
     identity_suites,

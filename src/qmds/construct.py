@@ -9,14 +9,18 @@ zero point, extends the code by one coordinate (length t(q+1)+2), and
 scales by a root-free polynomial times norm-equation solutions.
 
 Every closed-form product here has a brute-force counterpart in the test
-suite; both families are re-verified independently by the verifier module.
+suite.  Each constructor records the witnesses (w, and for family two m
+and gamma) and builds the multipliers from them with
+reconstruct_multipliers, the one place the multiplier formulas are
+written; the verifier runs the same function and compares its output with
+the code's multipliers.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .field import (
     DEFAULT_ELEMENT_BOUND,
@@ -25,7 +29,7 @@ from .field import (
     ParameterError,
     field_for_prime_power,
 )
-from .grs import GRSCode, is_hermitian_self_orthogonal
+from .grs import GRSCode
 from .poly import Poly, root_free_monic
 
 #: Provenance tokens carried by serialized results.
@@ -227,17 +231,14 @@ def additive_coset_code(
     grid."""
     field = field_for_prime_power(q, element_bound)
     check_admissible(q, FAMILY_ADDITIVE, t, k)
-    return _additive_code_any_k(field, t, k)
-
-
-def _additive_code_any_k(field: FieldTower, t: int, k: int) -> ConstructionResult:
-    # No dimension-bound check: the verifier's probe uses this to examine
-    # what happens just past the admissible range.
     design = AdditiveCosetDesign(field, t)
-    v = tuple(field.solve_norm(design.subfield_unit(i)) for i in range(design.n))
+    witnesses = {"w": list(design.weights)}
+    v = reconstruct_multipliers(field, design.points, PROVENANCE_ADDITIVE, witnesses)
+    if v is None:
+        raise RuntimeError("scaled multiplier is not a subfield unit")
     code = GRSCode(field, design.points, v, k)
-    quantum = QuantumParams.from_classical(code.length, k, field.q, PROVENANCE_ADDITIVE)
-    return ConstructionResult(code=code, quantum=quantum, witnesses={"w": list(design.weights)})
+    quantum = QuantumParams.from_classical(code.length, k, q, PROVENANCE_ADDITIVE)
+    return ConstructionResult(code=code, quantum=quantum, witnesses=witnesses)
 
 
 # ----------------------------------------------------------------------
@@ -370,23 +371,18 @@ def multiplicative_coset_code(
     check_admissible(q, FAMILY_EXTENDED, t, k)
     design = MultiplicativeCosetDesign(field, t)
     m = select_scaling_poly(design, k)
-    m_values = [m(a) for a in design.points]
-    if not all(m_values):
-        raise RuntimeError("scaling polynomial vanishes at an evaluation point")
-    gamma = design.gamma()
-    v = tuple(field.mul(x, g) for x, g in zip(m_values, gamma))
-    provenance = PROVENANCE_EXTENDED
-    if (t, k) == (q - 1, q - 1):
-        unit = field.solve_norm(field.inv(field.from_int(2)))
-        v = tuple(field.mul(unit, x) for x in v)
-        provenance = PROVENANCE_EXTENDED_SPECIAL
-    code = GRSCode(field, design.points, v, k, extended=True)
-    quantum = QuantumParams.from_classical(code.length, k, q, provenance)
+    special = (t, k) == (q - 1, q - 1)
+    provenance = PROVENANCE_EXTENDED_SPECIAL if special else PROVENANCE_EXTENDED
     witnesses = {
         "w": list(design.weights),
         "m_coeffs": list(m.coeffs),
-        "gamma": list(gamma),
+        "gamma": list(design.gamma()),
     }
+    v = reconstruct_multipliers(field, design.points, provenance, witnesses)
+    if not all(v):
+        raise RuntimeError("scaling polynomial vanishes at an evaluation point")
+    code = GRSCode(field, design.points, v, k, extended=True)
+    quantum = QuantumParams.from_classical(code.length, k, q, provenance)
     return ConstructionResult(code=code, quantum=quantum, witnesses=witnesses)
 
 
@@ -399,53 +395,33 @@ def quantum_params_for_distance(
     return multiplicative_coset_code(q, t, d - 1, element_bound)
 
 
-def derive_quantum(code, provenance: str, check_mds: bool = True) -> QuantumParams:
-    """[[N, N-2k, k+1]]_q from a Hermitian self-orthogonal classical [N, k]
-    MDS code over GF(q^2); raises if either premise fails.
+def reconstruct_multipliers(
+    field: FieldTower,
+    points: Sequence[Element],
+    provenance: str,
+    witnesses: Dict[str, List[Element]],
+) -> Optional[Tuple[Element, ...]]:
+    """The multipliers v that the witnesses fix on these points: the
+    constructors build v with this function, and the verifier compares its
+    output with code.v.
 
-    GRS codes are MDS by construction; a bare LinearCode gets a distance
-    check through `verify.distance_ladder` when check_mds is set, and is
-    refused when neither brute force nor the rank test fits its cap.  The
-    k = 0 edge yields the degenerate [[N, N, 1]] parameters, flagged.
-    """
-    ok, witness = is_hermitian_self_orthogonal(code)
-    if not ok:
-        raise ValueError(f"code is not Hermitian self-orthogonal: witness {witness}")
-    N = code.length
-    k = code.k if isinstance(code, GRSCode) else code.dim
-    if check_mds and not isinstance(code, GRSCode) and k:
-        from .verify import distance_ladder
-
-        method, _, mds = distance_ladder(code)
-        if method == "by-construction":
-            raise ValueError("cannot certify the MDS premise")
-        if not mds:
-            raise ValueError("code is not MDS")
-    return QuantumParams.from_classical(N, k, code.field.q, provenance)
-
-
-def reconstruct_multipliers(result: ConstructionResult) -> Optional[Tuple[Element, ...]]:
-    """Recompute the code's multipliers from the recorded witnesses; equality
-    with code.v is the witness-consistency invariant.  None when a `w`
-    witness of the additive family leaves no norm equation to solve
-    (w_i * (alpha^q - alpha)^(t-1) is zero or outside GF(q)), so no
-    multipliers can be reproduced."""
-    code = result.code
-    F = code.field
-    q = result.quantum.q
-    if result.quantum.provenance == PROVENANCE_ADDITIVE:
-        t = code.n // q
+    Additive family: v_i solves the norm equation
+    v_i**(q+1) = w_i * (alpha**q - alpha)**(t-1), or None when some right
+    side is zero or outside GF(q), so no multipliers exist.  Extended
+    family: v_i = m(a_i) * gamma_i, times a unit of norm 1/2 on the
+    special corner (t, k) = (q-1, q-1)."""
+    F = field
+    if provenance == PROVENANCE_ADDITIVE:
+        t = len(points) // F.q
         span = F.sub(F.frobenius(F.generator), F.generator)
         scale = F.pow(span, t - 1)
-        norms = [F.mul(wi, scale) for wi in result.witnesses["w"]]
+        norms = [F.mul(wi, scale) for wi in witnesses["w"]]
         if not all(x and F.in_subfield(x) for x in norms):
             return None
         return tuple(F.solve_norm(x) for x in norms)
-    m = Poly(F, result.witnesses["m_coeffs"])
-    gamma = result.witnesses["gamma"]
-    if result.quantum.provenance == PROVENANCE_EXTENDED_SPECIAL:
+    m = Poly(F, witnesses["m_coeffs"])
+    v = [F.mul(m(a), g) for a, g in zip(points, witnesses["gamma"])]
+    if provenance == PROVENANCE_EXTENDED_SPECIAL:
         unit = F.solve_norm(F.inv(F.from_int(2)))
-        return tuple(
-            F.mul(unit, F.mul(m(a), g)) for a, g in zip(code.a, gamma)
-        )
-    return tuple(F.mul(m(a), g) for a, g in zip(code.a, gamma))
+        v = [F.mul(unit, x) for x in v]
+    return tuple(v)

@@ -67,13 +67,15 @@ class GRSCode:
         if len(self.v) != n:
             raise ValueError("multiplier vector length must match the point count")
         order = self.field.order
+        # type(x) is int, not isinstance: a bool is an int subclass, and
+        # neither a bool nor a float is an element encoding
         for x in self.a:
-            if not 0 <= x < order:
-                raise ValueError(f"evaluation point {x} out of range")
+            if type(x) is not int or not 0 <= x < order:
+                raise ValueError(f"evaluation point {x!r} is not a field element")
         if len(set(self.a)) != n:
             raise ValueError("evaluation points must be distinct")
         for x in self.v:
-            if not 1 <= x < order:
+            if type(x) is not int or not 1 <= x < order:
                 raise ValueError("column multipliers must be nonzero field elements")
         max_k = n + 1 if self.extended else n
         if not 1 <= self.k <= max_k:
@@ -108,7 +110,7 @@ class LinearCode:
             elif self.length != width:
                 raise ValueError("declared length disagrees with the generator rows")
             order = self.field.order
-            if not all(0 <= x < order for r in rows for x in r):
+            if not all(type(x) is int and 0 <= x < order for r in rows for x in r):
                 raise ValueError("generator entries must be field elements")
             if rank(self.field, rows) != len(rows):
                 raise ValueError("generator matrix must have full row rank")
@@ -116,7 +118,7 @@ class LinearCode:
             raise ValueError("length is required for a zero-dimensional code")
 
     @property
-    def dim(self) -> int:
+    def k(self) -> int:
         return len(self.rows)
 
 
@@ -320,16 +322,16 @@ def min_distance_bruteforce(code, cap: int = BRUTE_FORCE_CAP) -> int:
     codewords.
     """
     F = code.field
-    rows = generator_rows(code)
-    k = len(rows)
+    k = code.k
+    length = code.length
+    order = F.order
     if k == 0:
         raise ValueError("the zero code has no nonzero codewords")
-    length = len(rows[0])
-    order = F.order
     if order ** k > cap:
         raise CapExceeded(
             f"{order ** k} codewords exceed the enumeration cap {cap}"
         )
+    rows = generator_rows(code)
     add, mul = F.op_tables
     row0 = rows[0]
     best = length - row0.count(0)
@@ -380,14 +382,13 @@ def is_mds_by_rank(code, cap: int = RANK_TEST_CAP) -> bool:
     is linear in N.  The cap still counts all C(N, k) subsets.
     """
     F = code.field
-    rows = generator_rows(code)
-    k = len(rows)
+    k = code.k
     if k == 0:
         raise ValueError("the zero code has no distance")
-    length = len(rows[0])
-    n_subsets = math.comb(length, k)
+    n_subsets = math.comb(code.length, k)
     if n_subsets > cap:
         raise CapExceeded(f"{n_subsets} column subsets exceed the cap {cap}")
+    rows = generator_rows(code)
     add, mul = F.op_tables
 
     def independent(residues: List[List[Element]], needed: int) -> bool:

@@ -176,15 +176,6 @@ class Poly:
         return f"Poly({self.field!r}, {self.coeffs})"
 
 
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd."""
-    while not b.is_zero():
-        a, b = b, a % b
-    if not a.is_zero():
-        a = a.scaled(a.field.inv(a.coeffs[-1]))
-    return a
-
-
 def is_irreducible(f: Poly) -> bool:
     """Irreducibility over the big field GF(q^2), of order Q.
 

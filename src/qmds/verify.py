@@ -1,13 +1,15 @@
-"""Independent re-verification of constructed codes, parameter sweeps over
-both families, property suites for every closed-form identity the
-constructions rely on, and the exhaustive search showing no Hermitian
-self-orthogonal [5,1,5] code exists over GF(4).
+"""Re-verification of constructed codes, the quantum parameters of a
+classical code, parameter sweeps over both families, property suites for
+every closed-form identity the constructions rely on, and the exhaustive
+search showing no Hermitian self-orthogonal [5,1,5] code exists over GF(4).
 
 Verification policy: the Hermitian check is always exact; minimum distance
-runs a strategy ladder (brute force while the code has at most
-BRUTE_FORCE_CAP codewords, then the k-column rank test while the subset
-count fits RANK_TEST_CAP, otherwise the MDS status certified by the GRS
-construction is recorded as such).
+runs a strategy ladder on the code it is given (brute force while the code
+has at most BRUTE_FORCE_CAP codewords, then the k-column rank test while
+the subset count fits RANK_TEST_CAP, otherwise the MDS status certified by
+the GRS construction is recorded as such).  A construction's witnesses
+must reproduce its multipliers through construct.reconstruct_multipliers,
+the function the constructors build them with.
 """
 
 from __future__ import annotations
@@ -29,9 +31,7 @@ from .construct import (
     MultiplicativeCosetDesign,
     ParameterError,
     QuantumParams,
-    _additive_code_any_k,
     additive_coset_code,
-    dimension_bound,
     grid,
     multiplicative_coset_code,
     reconstruct_multipliers,
@@ -39,8 +39,6 @@ from .construct import (
 )
 from .field import DEFAULT_ELEMENT_BOUND, FieldTower, field_for_prime_power, make_field
 from .grs import (
-    BRUTE_FORCE_CAP,
-    RANK_TEST_CAP,
     CapExceeded,
     GRSCode,
     LinearCode,
@@ -104,28 +102,44 @@ class VerificationReport:
         }
 
 
-def distance_ladder(
-    code: Union[GRSCode, LinearCode],
-    brute_cap: int = BRUTE_FORCE_CAP,
-    rank_cap: int = RANK_TEST_CAP,
-) -> Tuple[str, Optional[int], bool]:
+def distance_ladder(code: Union[GRSCode, LinearCode]) -> Tuple[str, Optional[int], bool]:
     """(method, measured_distance, mds) for a GRS code or a LinearCode, per
-    the caps.  Past both caps the method is "by-construction" with mds
-    True, which only a GRS code's construction can back; callers holding a
-    bare LinearCode must treat that rung as uncertified."""
-    lc = as_linear_code(code)
-    expected = lc.length - lc.dim + 1
+    the kernels' caps.  Past both caps the method is "by-construction" with
+    mds True, which only a GRS code's construction can back; callers
+    holding a bare LinearCode must treat that rung as uncertified."""
+    expected = code.length - code.k + 1
     try:
-        measured = min_distance_bruteforce(lc, brute_cap)
+        measured = min_distance_bruteforce(code)
         return "brute", measured, measured == expected
     except CapExceeded:
         pass
     try:
-        return "rank", None, is_mds_by_rank(lc, rank_cap)
+        return "rank", None, is_mds_by_rank(code)
     except CapExceeded:
         # GRS / extended GRS codes are MDS by construction; record that no
         # independent method ran.
         return "by-construction", None, True
+
+
+def derive_quantum(code: Union[GRSCode, LinearCode], provenance: str) -> QuantumParams:
+    """[[N, N-2k, k+1]]_q from a Hermitian self-orthogonal classical [N, k]
+    MDS code over GF(q^2); raises if either premise fails.
+
+    GRS codes are MDS by construction; a bare LinearCode gets a distance
+    check through distance_ladder, and is refused when neither brute force
+    nor the rank test fits its cap.  The k = 0 edge yields the degenerate
+    [[N, N, 1]] parameters, flagged.
+    """
+    ok, witness = is_hermitian_self_orthogonal(code)
+    if not ok:
+        raise ValueError(f"code is not Hermitian self-orthogonal: witness {witness}")
+    if isinstance(code, LinearCode) and code.k:
+        method, _, mds = distance_ladder(code)
+        if method == "by-construction":
+            raise ValueError("cannot certify the MDS premise")
+        if not mds:
+            raise ValueError("code is not MDS")
+    return QuantumParams.from_classical(code.length, code.k, code.field.q, provenance)
 
 
 def construction_identity(result: ConstructionResult) -> str:
@@ -138,19 +152,14 @@ def construction_identity(result: ConstructionResult) -> str:
     return f"{result.quantum.provenance} q={q} t={t} k={code.k}"
 
 
-def verify_code(
-    code: GRSCode,
-    identity: str = "code",
-    brute_cap: int = BRUTE_FORCE_CAP,
-    rank_cap: int = RANK_TEST_CAP,
-) -> VerificationReport:
+def verify_code(code: GRSCode, identity: str = "code") -> VerificationReport:
     """Exact Hermitian self-orthogonality and the MDS distance via the
     ladder, for a bare GRS code (e.g. parsed from a file).  Its quantum
     parameters are derived from the code, so the Singleton bound is met
     with equality by definition."""
     start = time.perf_counter()
     ok, witness = is_hermitian_self_orthogonal(code)
-    method, measured, mds = distance_ladder(code, brute_cap, rank_cap)
+    method, measured, mds = distance_ladder(code)
     return VerificationReport(
         identity=identity,
         hermitian_self_orthogonal=ok,
@@ -163,18 +172,15 @@ def verify_code(
     )
 
 
-def verify_construction(
-    result: ConstructionResult,
-    brute_cap: int = BRUTE_FORCE_CAP,
-    rank_cap: int = RANK_TEST_CAP,
-) -> VerificationReport:
+def verify_construction(result: ConstructionResult) -> VerificationReport:
     """verify_code plus the bookkeeping a construction claims: its quantum
     parameters are the ones the classical code gives, and its witnesses
     reproduce the multipliers."""
     code, qp = result.code, result.quantum
-    report = verify_code(code, construction_identity(result), brute_cap, rank_cap)
+    report = verify_code(code, construction_identity(result))
     derived = QuantumParams.from_classical(code.length, code.k, code.field.q, qp.provenance)
-    bookkeeping = qp == derived and reconstruct_multipliers(result) == code.v
+    v = reconstruct_multipliers(code.field, code.a, qp.provenance, result.witnesses)
+    bookkeeping = qp == derived and v == code.v
     return dataclasses.replace(report, singleton_equality=bookkeeping)
 
 
@@ -206,8 +212,6 @@ class SweepRow:
 def sweep(
     q_list: Sequence[int] = DEFAULT_SWEEP_Q,
     family: str = "both",
-    brute_cap: int = BRUTE_FORCE_CAP,
-    rank_cap: int = RANK_TEST_CAP,
     element_bound: int = DEFAULT_ELEMENT_BOUND,
 ) -> List[SweepRow]:
     """One verified row per admissible (q, t, k); excluded parameter triples
@@ -226,7 +230,7 @@ def sweep(
                     length, status = t * (q + 1) + 2, STATUS_EXCLUDED
                 else:
                     res = build(q, t, k, element_bound)
-                    passed = verify_construction(res, brute_cap, rank_cap).passed
+                    passed = verify_construction(res).passed
                     length, status = res.code.length, STATUS_OK if passed else STATUS_FAIL
                 qp = QuantumParams.from_classical(length, k, q, fam)
                 rows.append(SweepRow(
@@ -288,30 +292,6 @@ def five_one_five_search() -> NonexistenceRecord:
 
 
 # ----------------------------------------------------------------------
-# Probe just past the additive family's dimension bound
-# ----------------------------------------------------------------------
-
-def probe_dimension_bound(
-    q: int, t: int, element_bound: int = DEFAULT_ELEMENT_BOUND
-) -> dict:
-    """Construct the additive-family code with k one past the admissible
-    bound and report whether the Hermitian check still passes.  Purely
-    exploratory; nothing is asserted about the outcome."""
-    field = field_for_prime_power(q, element_bound)
-    k = dimension_bound(q, t) + 1
-    record = {"q": q, "t": t, "k": k}
-    if k > t * q:
-        record["constructible"] = False
-        return record
-    res = _additive_code_any_k(field, t, k)
-    ok, witness = is_hermitian_self_orthogonal(res.code)
-    record["constructible"] = True
-    record["hermitian_self_orthogonal"] = ok
-    record["witness"] = list(witness) if witness else None
-    return record
-
-
-# ----------------------------------------------------------------------
 # Property suites behind the check-lemmas subcommand
 # ----------------------------------------------------------------------
 
@@ -361,7 +341,7 @@ def _suite_dual_spans(field: FieldTower, extended: bool) -> SuiteResult:
                 code = GRSCode(field, points, (1,) * n, k)
             computed = nullspace_dual(as_linear_code(code))
             cases += 1
-            if len(described) != computed.dim or not same_row_space(
+            if len(described) != computed.k or not same_row_space(
                 field, described, computed.rows
             ):
                 passed = False

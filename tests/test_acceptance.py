@@ -16,7 +16,6 @@ from qmds.construct import (
     FAMILY_ADDITIVE,
     FAMILY_EXTENDED,
     additive_coset_code,
-    derive_quantum,
     grid,
     multiplicative_coset_code,
     quantum_params_for_distance,
@@ -32,6 +31,7 @@ from qmds.grs import (
 from qmds.verify import (
     STATUS_EXCLUDED,
     STATUS_OK,
+    derive_quantum,
     five_one_five_search,
     identity_suites,
     sweep,
@@ -112,7 +112,7 @@ def test_criterion_3_named_instances_reproduce():
     # [[10,6,3]]_3 through the special-case [10,2,9] classical code
     special = multiplicative_coset_code(3, 2, 2)
     lc = as_linear_code(special.code)
-    assert (lc.length, lc.dim) == (10, 2)
+    assert (lc.length, lc.k) == (10, 2)
     assert min_distance_bruteforce(lc) == 9
     assert verify_construction(special).passed
     qp = derive_quantum(special.code, provenance="prop1-special")
@@ -130,7 +130,7 @@ def test_criterion_4_distance_oracles():
             else:
                 res = multiplicative_coset_code(q, t, k)
             lc = as_linear_code(res.code)
-            expected = lc.length - lc.dim + 1
+            expected = lc.length - lc.k + 1
             order = res.code.field.order
             if order ** k <= BRUTE_FORCE_CAP:
                 assert min_distance_bruteforce(lc) == expected, (family, q, t, k)

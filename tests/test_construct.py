@@ -11,7 +11,6 @@ from qmds.construct import (
     ParameterError,
     QuantumParams,
     additive_coset_code,
-    derive_quantum,
     dimension_bound,
     grid,
     multiplicative_coset_code,
@@ -28,8 +27,13 @@ from qmds.grs import (
     min_distance_bruteforce,
 )
 from qmds.poly import Poly
+from qmds.verify import derive_quantum
 
 SWEEP_Q = (2, 3, 4, 5, 7, 8, 9)
+
+
+def _multiplier_inputs(res):
+    return res.code.field, res.code.a, res.quantum.provenance, res.witnesses
 
 
 def brute_difference_product(F, points, i):
@@ -155,7 +159,7 @@ def test_additive_construction_q3():
     assert (res.quantum.n, res.quantum.k, res.quantum.d, res.quantum.q) == (9, 5, 3, 3)
     assert res.quantum.provenance == "theorem1"
     assert is_hermitian_self_orthogonal(res.code)[0]
-    assert reconstruct_multipliers(res) == res.code.v
+    assert reconstruct_multipliers(*_multiplier_inputs(res)) == res.code.v
 
 
 def test_additive_construction_full_length_q4():
@@ -346,7 +350,7 @@ def test_extended_construction_general_case():
     assert res.code.length == 10 and res.code.k == 3 and res.code.extended
     assert res.quantum.provenance == "prop1-general"
     assert is_hermitian_self_orthogonal(res.code)[0]
-    assert reconstruct_multipliers(res) == res.code.v
+    assert reconstruct_multipliers(*_multiplier_inputs(res)) == res.code.v
     assert set(res.witnesses) == {"w", "m_coeffs", "gamma"}
 
 
@@ -355,7 +359,7 @@ def test_extended_construction_special_case():
     assert res.quantum.provenance == "prop1-special"
     assert res.code.length == 10 and res.code.k == 2
     assert is_hermitian_self_orthogonal(res.code)[0]
-    assert reconstruct_multipliers(res) == res.code.v
+    assert reconstruct_multipliers(*_multiplier_inputs(res)) == res.code.v
     # classical distance 9: [q^2+1, q-1, q^2-q+3] for q=3
     assert min_distance_bruteforce(as_linear_code(res.code)) == 9
     # the special multiplier has norm 1/2

@@ -58,13 +58,28 @@ def test_linear_code_validation():
     with pytest.raises(ValueError):
         LinearCode(F9, ((1, 1), (TWO, TWO)))  # dependent rows
     zero_dim = LinearCode(F9, (), length=4)
-    assert zero_dim.dim == 0 and zero_dim.length == 4
+    assert zero_dim.k == 0 and zero_dim.length == 4
     with pytest.raises(ValueError):
         LinearCode(F9, ())  # zero-dimensional needs an explicit length
 
 
 def _rank_must_not_run(*args):
     raise AssertionError("the rank test ran on an entry outside the field")
+
+
+@pytest.mark.parametrize("entry", [1.5, True], ids=["float", "bool"])
+def test_grs_code_rejects_an_entry_that_is_not_an_int(entry):
+    with pytest.raises(ValueError, match="field element"):
+        GRSCode(F4, (0, entry), (1, 1), 1)
+    with pytest.raises(ValueError, match="field element"):
+        GRSCode(F4, (0, 2), (1, entry), 1)
+
+
+@pytest.mark.parametrize("entry", [1.5, True], ids=["float", "bool"])
+def test_linear_code_rejects_an_entry_that_is_not_an_int(monkeypatch, entry):
+    monkeypatch.setattr("qmds.grs.rank", _rank_must_not_run)
+    with pytest.raises(ValueError, match="field elements"):
+        LinearCode(F4, ((1, entry, 2),))
 
 
 def test_linear_code_rejects_a_negative_entry(monkeypatch):
@@ -214,7 +229,7 @@ def test_nullspace_dual_dimensions_and_orthogonality():
         code = random_code(F9, rng)
         lc = as_linear_code(code)
         dual = nullspace_dual(lc)
-        assert dual.dim == lc.length - lc.dim
+        assert dual.k == lc.length - lc.k
         for g in lc.rows:  # G times the dual basis transposed is zero
             for h in dual.rows:
                 acc = 0
@@ -222,7 +237,7 @@ def test_nullspace_dual_dimensions_and_orthogonality():
                     acc = F9.add(acc, F9.mul(x, y))
                 assert acc == 0
     full = as_linear_code(GRSCode(F9, tuple(range(4)), (1,) * 4, 4))
-    assert nullspace_dual(full).dim == 0
+    assert nullspace_dual(full).k == 0
 
 
 def test_hermitian_dual_is_frobenius_of_euclidean_dual():
@@ -340,7 +355,7 @@ def test_mds_grid_with_random_multipliers():
                 for extended in (False, True):
                     code = GRSCode(F, points, v, k, extended=extended)
                     lc = as_linear_code(code)
-                    expected = lc.length - lc.dim + 1
+                    expected = lc.length - lc.k + 1
                     if F.order ** k <= 10 ** 6:
                         got = min_distance_bruteforce(lc)
                         assert got == expected, (q, n, k, extended, got)
@@ -385,7 +400,7 @@ def test_rank_test_agrees_with_bruteforce():
         if F9.order ** code.k > 10 ** 4:
             continue
         lc = as_linear_code(code)
-        brute_mds = min_distance_bruteforce(lc) == lc.length - lc.dim + 1
+        brute_mds = min_distance_bruteforce(lc) == lc.length - lc.k + 1
         assert is_mds_by_rank(lc) == brute_mds
 
 
@@ -394,9 +409,9 @@ def test_hermitian_dual_of_mds_code_is_mds():
     for _ in range(10):
         code = random_code(F9, rng, max_n=6)
         dual = nullspace_dual(as_linear_code(code), hermitian=True)
-        if not 1 <= dual.dim <= 3:
+        if not 1 <= dual.k <= 3:
             continue
-        assert min_distance_bruteforce(dual) == dual.length - dual.dim + 1
+        assert min_distance_bruteforce(dual) == dual.length - dual.k + 1
 
 
 # ----------------------------------------------------------------------

@@ -52,7 +52,7 @@ def reference_rank(F, rows):
 
 
 def reference_mds(code):
-    F, k = code.field, code.dim
+    F, k = code.field, code.k
     return all(
         reference_rank(F, [[row[c] for c in cols] for row in code.rows]) == k
         for cols in itertools.combinations(range(code.length), k)
@@ -63,7 +63,7 @@ def reference_distance(code):
     F = code.field
     scaled = [[[F.mul(c, x) for x in row] for c in range(F.order)] for row in code.rows]
     best = code.length
-    for msg in itertools.product(range(F.order), repeat=code.dim):
+    for msg in itertools.product(range(F.order), repeat=code.k):
         if not any(msg):
             continue
         word = [0] * code.length
@@ -107,11 +107,11 @@ def test_kernels_agree_with_the_references(name):
         code, kind = random_code(F, rng, max_k=3 if small else 2)
         mds = reference_mds(code)
         assert is_mds_by_rank(code) == mds, (kind, code.rows)
-        if kind == "grs" or (kind in ("duplicate", "scaled") and code.dim >= 2):
+        if kind == "grs" or (kind in ("duplicate", "scaled") and code.k >= 2):
             assert mds == (kind == "grs"), (kind, code.rows)
         distance = reference_distance(code)
         assert min_distance_bruteforce(code) == distance, (kind, code.rows)
-        assert (distance == code.length - code.dim + 1) == mds
+        assert (distance == code.length - code.k + 1) == mds
         verdicts.append(mds)
     # the negative control: a kernel that always answered "MDS" fails here
     assert not all(verdicts) and any(verdicts)
@@ -166,8 +166,8 @@ def minimum_c0(code):
     its histograms."""
     F, distance = code.field, reference_distance(code)
     out = set()
-    for msg in itertools.product(range(F.order), repeat=code.dim - 1):
-        for lead in range(1, code.dim):
+    for msg in itertools.product(range(F.order), repeat=code.k - 1):
+        for lead in range(1, code.k):
             if msg[lead - 1] == 1 and not any(msg[lead:]):
                 break
         else:

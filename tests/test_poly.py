@@ -12,7 +12,6 @@ from qmds.poly import (
     _quadratic_factor_marks,
     is_irreducible,
     lagrange_interpolate,
-    poly_gcd,
     root_free_monic,
 )
 
@@ -64,22 +63,6 @@ def test_divmod_invariant():
         quot, rem = divmod(f, g)
         assert rem.degree < g.degree
         assert quot * g + rem == f
-
-
-def test_gcd_divides_both():
-    rng = random.Random(4)
-    for _ in range(30):
-        h = random_poly(F9, 2, rng)
-        if h.is_zero():
-            continue
-        f = random_poly(F9, 3, rng) * h
-        g = random_poly(F9, 3, rng) * h
-        d = poly_gcd(f, g)
-        if f.is_zero() and g.is_zero():
-            continue
-        assert (f % d).is_zero()
-        assert (g % d).is_zero()
-        assert d.degree >= h.degree
 
 
 def test_frobenius_poly_examples():

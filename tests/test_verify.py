@@ -21,7 +21,6 @@ from qmds.verify import (
     emit,
     five_one_five_search,
     identity_suites,
-    probe_dimension_bound,
     rows_to_csv,
     rows_to_json,
     sweep,
@@ -100,6 +99,31 @@ def test_verify_detects_a_tampered_witness_on_a_valid_code(build, key):
     assert witnesses[key][0] != good.witnesses[key][0]
     report = verify_construction(ConstructionResult(good.code, good.quantum, witnesses))
     assert report.hermitian_self_orthogonal and report.mds  # the code is untouched
+    assert not report.singleton_equality
+    assert not report.passed
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: additive_coset_code(3, 3, 2),
+        lambda: multiplicative_coset_code(3, 2, 3),
+        lambda: multiplicative_coset_code(3, 2, 2),  # special case
+    ],
+    ids=["additive", "extended", "special"],
+)
+def test_verify_detects_a_multiplier_changed_by_a_unit_of_norm_one(build):
+    # theta**(q+1) == 1, so v_0 * theta has the norm of v_0: the Gram
+    # product, and with it every check but the witness check, is unchanged
+    good = build()
+    F = good.code.field
+    theta = F.root_of_unity(F.q + 1)
+    v = list(good.code.v)
+    v[0] = F.mul(v[0], theta)
+    assert v[0] != good.code.v[0] and F.norm(v[0]) == F.norm(good.code.v[0])
+    code = dataclasses.replace(good.code, v=tuple(v))
+    report = verify_construction(ConstructionResult(code, good.quantum, good.witnesses))
+    assert report.hermitian_self_orthogonal and report.mds
     assert not report.singleton_equality
     assert not report.passed
 
@@ -282,15 +306,8 @@ def test_candidates_with_zero_coordinates_are_out_of_scope():
 
 
 # ----------------------------------------------------------------------
-# probe and identity suites
+# identity suites
 # ----------------------------------------------------------------------
-
-def test_probe_just_past_the_dimension_bound():
-    record = probe_dimension_bound(3, 1)
-    assert record["constructible"]
-    assert set(record) >= {"q", "t", "k", "hermitian_self_orthogonal"}
-    assert record["k"] == 2  # bound for (3, 1) is 1
-
 
 def test_identity_suites_all_pass_for_small_q():
     for q in (2, 3):
