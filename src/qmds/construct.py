@@ -419,8 +419,15 @@ def reconstruct_multipliers(
         if not all(x and F.in_subfield(x) for x in norms):
             return None
         return tuple(F.solve_norm(x) for x in norms)
-    m = Poly(F, witnesses["m_coeffs"])
-    v = [F.mul(m(a), g) for a, g in zip(points, witnesses["gamma"])]
+    m = Poly(F, witnesses["m_coeffs"])  # rejects a coefficient outside the field
+    add, mul = F.op_tables
+    plus = [add[c] for c in reversed(m.coeffs)]  # m(a) by Horner: x -> x*a + c
+    v = []
+    for a, g in zip(points, witnesses["gamma"]):
+        times_a, acc = mul[a], 0
+        for plus_c in plus:
+            acc = plus_c[times_a[acc]]
+        v.append(F.mul(acc, g))
     if provenance == PROVENANCE_EXTENDED_SPECIAL:
         unit = F.solve_norm(F.inv(F.from_int(2)))
         v = [F.mul(unit, x) for x in v]

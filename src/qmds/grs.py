@@ -78,8 +78,8 @@ class GRSCode:
             if type(x) is not int or not 1 <= x < order:
                 raise ValueError("column multipliers must be nonzero field elements")
         max_k = n + 1 if self.extended else n
-        if not 1 <= self.k <= max_k:
-            raise ValueError(f"dimension k={self.k} out of range for length {max_k}")
+        if type(self.k) is not int or not 1 <= self.k <= max_k:
+            raise ValueError(f"dimension k={self.k!r} is not an int from 1 to {max_k}")
 
     @property
     def n(self) -> int:

@@ -54,6 +54,12 @@ def test_code_validation():
         GRSCode(F9, (0, 99), (1, 1), 1)  # out-of-range element
 
 
+@pytest.mark.parametrize("k", [True, 1.0], ids=["bool", "float"])
+def test_grs_code_rejects_a_dimension_that_is_not_an_int(k):
+    with pytest.raises(ValueError, match="dimension"):
+        GRSCode(F4, (0, 1), (1, 1), k)
+
+
 def test_linear_code_validation():
     with pytest.raises(ValueError):
         LinearCode(F9, ((1, 1), (TWO, TWO)))  # dependent rows

@@ -9,6 +9,7 @@ from qmds import poly
 from qmds.field import field_for_prime_power, make_field
 from qmds.poly import (
     Poly,
+    _discriminant_parity,
     _quadratic_factor_marks,
     is_irreducible,
     lagrange_interpolate,
@@ -253,20 +254,110 @@ def test_quadratic_factor_marks_match_trial_division(F, degree, count):
         assert bits == reference_quadratic_factor_marks(F, high), high
 
 
+@functools.lru_cache(maxsize=None)
+def factorizations(F, top):
+    """{f: its monic irreducible factors, with multiplicity} for every monic
+    f of degree 1 to top, sieve-of-Eratosthenes style.  Degree by degree,
+    the products of an irreducible g, at most half the degree, and a monic
+    h of the rest are the reducible polynomials, each factored as g and h's
+    factors; every other one is irreducible."""
+    found = {}
+    irreducibles = []
+    for d in range(1, top + 1):
+        for g in irreducibles:
+            if 2 * g.degree <= d:
+                for h in monic_polys(F, d - g.degree):
+                    found.setdefault(g * h, (g,) + found[h])
+        for f in monic_polys(F, d):
+            if f not in found:
+                found[f] = (f,)
+                irreducibles.append(f)
+    return found
+
+
+def expected_disc_parity(factors):
+    """Stickelberger: disc(f) of a squarefree f of degree d with r
+    irreducible factors is a square iff d - r is even, and it is 0 when f
+    has a repeated factor.  The parity is 0 for a square, 1 otherwise."""
+    if len(set(factors)) < len(factors):
+        return None
+    return (sum(g.degree for g in factors) - len(factors)) & 1
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+def test_discriminant_parity_on_every_monic_polynomial_over_gf9(degree):
+    factored = factorizations(F9, 4)
+    parity = _discriminant_parity(F9, degree)
+    seen = set()
+    for f in monic_polys(F9, degree):
+        factors = factored[f]
+        assert functools.reduce(Poly.__mul__, factors) == f
+        expected = expected_disc_parity(factors)
+        assert parity(f.coeffs) == expected, (f, factors)
+        seen.add(expected)
+    assert seen == ({0, 1, None} if degree > 1 else {0})
+
+
+def random_irreducible(F, degree, rng):
+    while True:
+        g = Poly(F, [rng.randrange(F.order) for _ in range(degree)] + [1])
+        if is_irreducible(g):
+            return g
+
+
+def partitions(n, most=None):
+    """The partitions of n into parts of at most `most`, parts descending."""
+    most = n if most is None else most
+    if n == 0:
+        yield ()
+    for part in range(min(n, most), 0, -1):
+        for rest in partitions(n - part, part):
+            yield (part,) + rest
+
+
+# GF(289) is past LOOKUP_TABLE_MAX_ORDER, so the filter runs on the methods there.
+@pytest.mark.parametrize("F", [make_field(5, 1), make_field(3, 2), make_field(17, 1)],
+                         ids=["F25", "F81", "F289"])
+def test_discriminant_parity_on_random_products(F):
+    # every factorization shape of degrees 5 to 8, 2+2+2 and 3+3 among them,
+    # each once with distinct random irreducible factors and once with its
+    # largest factor repeated in place of the next
+    rng = random.Random(F.order)
+    seen = set()
+    for degree in range(5, 9):
+        parity = _discriminant_parity(F, degree)
+        for shape in partitions(degree):
+            factors = tuple(random_irreducible(F, k, rng) for k in shape)
+            cases = [factors]
+            if len(shape) > 1 and shape[0] == shape[1]:
+                cases.append(factors[:1] * 2 + factors[2:])
+            for case in cases:
+                f = functools.reduce(Poly.__mul__, case)
+                expected = expected_disc_parity(case)
+                assert parity(f.coeffs) == expected, (f, case)
+                seen.add(expected)
+    assert seen == {0, 1, None}
+
+
 # Calls to the irreducibility test per search, (q, degree) -> (before the
-# sieve starts, after).  The sieve starts after Q**2 // 64 failed tests:
-# 1,024 at Q = 256, 102 at Q = 81, 64 at Q = 64.  Testing every root-free
-# candidate up to the answer would take 16,449 calls at (16, 4), 1,089 at
-# (8, 4) and 2,361 at (9, 6).  (13, 5) ends at its second test, long
-# before the sieve would pay off.  At (8, 6) the reducible root-free
+# sieve starts, after).  In odd characteristic the search first drops each
+# root-free candidate whose discriminant's quadratic character proves it
+# reducible (Stickelberger 1897; Swan, Pacific J. Math. 1962: a squarefree
+# polynomial of degree d with r irreducible factors has a square
+# discriminant iff d - r is even), and a drop counts as no failed test: at
+# (9, 6) the filter drops 2,360 of the 2,361 root-free candidates up to
+# the answer, and at (13, 5) the first one.  The sieve starts after
+# Q**2 // 64 failed tests: 1,024 at Q = 256, 102 at Q = 81, 64 at Q = 64.
+# Testing every root-free candidate up to the answer would take 16,449
+# calls at (16, 4), 1,089 at (8, 4).  At (8, 6) the reducible root-free
 # candidates before the answer are all products of two cubics, which the
 # sieve cannot see, so all 1,387 are still tested.
 IRREDUCIBILITY_TESTS = {
     (16, 4): (1024, 0),
     (8, 4): (64, 0),
-    (13, 5): (2, 0),
+    (13, 5): (1, 0),
     (7, 5): (1, 0),
-    (9, 6): (102, 704),
+    (9, 6): (1, 0),
     (8, 6): (64, 1323),
 }
 
