@@ -420,14 +420,7 @@ def reconstruct_multipliers(
             return None
         return tuple(F.solve_norm(x) for x in norms)
     m = Poly(F, witnesses["m_coeffs"])  # rejects a coefficient outside the field
-    add, mul = F.op_tables
-    plus = [add[c] for c in reversed(m.coeffs)]  # m(a) by Horner: x -> x*a + c
-    v = []
-    for a, g in zip(points, witnesses["gamma"]):
-        times_a, acc = mul[a], 0
-        for plus_c in plus:
-            acc = plus_c[times_a[acc]]
-        v.append(F.mul(acc, g))
+    v = [F.mul(m(a), g) for a, g in zip(points, witnesses["gamma"])]
     if provenance == PROVENANCE_EXTENDED_SPECIAL:
         unit = F.solve_norm(F.inv(F.from_int(2)))
         v = [F.mul(unit, x) for x in v]

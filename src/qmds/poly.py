@@ -9,7 +9,8 @@ twice: over GF(q^2) it picks the scaling polynomial of the extended
 family, and over `field.PrimeField(p)` the modulus of GF(q^2) itself, so
 its enumeration order fixes every element encoding.
 
-The last two read the field's `op_tables` instead of calling its methods.
+Evaluation and the last two read the field's `op_tables` instead of
+calling its methods.
 The search evaluates each block of Q candidates, which differ only in the
 constant term, once at every field element and reads the root-free
 candidates off the block's image.  The irreducibility test steps
@@ -161,10 +162,11 @@ class Poly:
         return hash((self.field, self.coeffs))
 
     def __call__(self, point: Element) -> Element:
-        F = self.field
+        add, mul = self.field.op_tables
+        times = mul[point]
         acc: Element = 0
-        for c in reversed(self.coeffs):
-            acc = F.add(F.mul(acc, point), c)
+        for c in reversed(self.coeffs):  # Horner: acc -> acc*point + c
+            acc = add[times[acc]][c]
         return acc
 
     def frobenius(self) -> "Poly":
@@ -384,7 +386,7 @@ def _quadratic_factor_marks(
     """
     Q = F.order
     add, mul = F.op_tables
-    neg = [F.neg(c) for c in F.elements()]
+    neg = mul[F.neg(1)]  # neg[c] == -c
     minus_g = [mul[neg[c]] if c else None for c in high]
     marks = bytearray((Q * Q + 7) // 8)
     for a, (b, _) in _root_free_candidates(F, 2):
