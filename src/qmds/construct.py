@@ -107,14 +107,23 @@ def grid(q: int, family: str) -> Iterator[Tuple[int, int, bool]]:
         raise ParameterError(f"unknown family {family!r}")
 
 
-def check_admissible(q: int, family: str, t: int, k: Optional[int] = None) -> None:
+def check_admissible(
+    q: int, family: str, t: int, k: Optional[int] = None
+) -> Dict[int, bool]:
     """Raise ParameterError unless t (and k, when given) lie on the
-    family's grid, and ExcludedParameters on its excluded corner."""
-    ks = {k2: excluded for t2, k2, excluded in grid(q, family) if t2 == t}
+    family's grid, and ExcludedParameters on its excluded corner.  Returns
+    the admissible k of t, each mapped to whether it is excluded.  grid
+    runs in ascending t, so the scan stops at the first row past t."""
+    ks: Dict[int, bool] = {}
+    for t2, k2, excluded in grid(q, family):
+        if t2 > t:
+            break
+        if t2 == t:
+            ks[k2] = excluded
     if not ks:
         raise ParameterError(f"t={t} out of range for {family} with q={q}")
     if k is None:
-        return
+        return ks
     if k not in ks:
         raise ParameterError(f"k={k} out of range 1..{max(ks)} for {family} with q={q}, t={t}")
     if ks[k]:
@@ -122,6 +131,7 @@ def check_admissible(q: int, family: str, t: int, k: Optional[int] = None) -> No
             f"{family} with q={q}, t={t}, k={k} is excluded: no construction "
             "in even characteristic with t = k = q-1 (quantum distance q)"
         )
+    return ks
 
 
 # ----------------------------------------------------------------------
@@ -391,7 +401,13 @@ def quantum_params_for_distance(
 ) -> ConstructionResult:
     """The extended-family construction parameterized by quantum distance d:
     [[t(q+1)+2, t(q+1)-2d+4, d]]_q via classical dimension k = d-1.
-    Excluded: even characteristic with (t, d) = (q-1, q)."""
+    Excluded: even characteristic with (t, d) = (q-1, q).  A d off the
+    grid is reported in d, the parameter the caller passed."""
+    field_for_prime_power(q, element_bound)  # the field's errors come first
+    ks = check_admissible(q, FAMILY_EXTENDED, t)
+    if d - 1 not in ks:
+        raise ParameterError(
+            f"d={d} out of range 2..{max(ks) + 1} for {FAMILY_EXTENDED} with q={q}, t={t}")
     return multiplicative_coset_code(q, t, d - 1, element_bound)
 
 

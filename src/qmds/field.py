@@ -52,6 +52,8 @@ MAX_ELEMENT_BOUND = 2 ** 16
 
 #: Largest field whose add/mul tables `FieldTower.op_tables` stores as byte
 #: rows: every element then fits in one byte, and a table is at most 64 KB.
+#: Above it the root-free search (`poly._root_free_candidates`) computes its
+#: block images in bulk in the log domain instead of reading op_tables.
 LOOKUP_TABLE_MAX_ORDER = 256
 
 
@@ -334,6 +336,8 @@ class FieldTower:
         of `order` entries (64 KB per table at order 256), built on first
         use.  Larger fields get views that call the methods, so the same
         loop runs on every field without materialising order**2 entries.
+        The root-free search reads these tables only up to that order;
+        above it, it works on discrete logs and the Zech list directly.
 
         The rows are slices of two base rows.  Multiplication adds discrete
         logs, so row x is 0 followed by the units 1..order-1 rotated by

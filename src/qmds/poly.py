@@ -13,12 +13,14 @@ Evaluation and the last two read the field's `op_tables` instead of
 calling its methods.
 The search evaluates each block of Q candidates, which differ only in the
 constant term, once at every field element and reads the root-free
-candidates off the block's image.  The irreducibility test steps
-x**(Q**i) mod f by one matrix-vector product each, through the matrix of
-the GF(Q)-linear map h -> h**Q mod f.  Once its failed tests have cost
-about as much as sieving, the search sieves out the candidates with an
-irreducible quadratic factor, one superblock of Q**2 candidates at a
-time.  At degree 4 and 5 a root-free candidate the sieve leaves is
+candidates off the block's image.  Up to 256 elements it reads the byte
+tables point by point; on a larger tower it computes the image in bulk,
+with C-level passes over all the units in the log domain.  The
+irreducibility test steps x**(Q**i) mod f by one matrix-vector product
+each, through the matrix of the GF(Q)-linear map h -> h**Q mod f.  Once
+its failed tests have cost about as much as sieving, the search sieves
+out the candidates with an irreducible quadratic factor, one superblock
+of Q**2 candidates at a time.  At degree 4 and 5 a root-free candidate the sieve leaves is
 irreducible; above, its test starts at factor degree 3.  Over a tower of
 odd order the search also drops a candidate whose discriminant's
 quadratic character proves it reducible, by Stickelberger's parity
@@ -31,7 +33,10 @@ returns the same polynomial as a test of every candidate.
 
 from __future__ import annotations
 
+import collections
 import functools
+import itertools
+import operator
 from typing import (
     TYPE_CHECKING, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple,
 )
@@ -340,32 +345,119 @@ def _root_free_candidates(
     Each block of Q consecutive candidates shares c_1..c_(l-1), so g =
     x**l + ... + c_1 x is evaluated once at every element, per block.  The
     candidate g + c_0 is root-free iff -c_0 is not in the image of g, and a
-    block whose image is the whole field holds no root-free candidate.
+    block whose image is the whole field holds no root-free candidate.  A
+    tower of more than LOOKUP_TABLE_MAX_ORDER elements computes each image
+    in bulk (`_bulk_root_free`); smaller towers and GF(p) evaluate g point
+    by point (`_table_root_free`), which measured faster there.
     """
+    from .field import LOOKUP_TABLE_MAX_ORDER, FieldTower  # see root_free_monic
+
     Q = F.order
-    add, mul = F.op_tables
+    if isinstance(F, FieldTower) and Q > LOOKUP_TABLE_MAX_ORDER:
+        root_free = _bulk_root_free(F)
+    else:
+        root_free = _table_root_free(F)
     elems = F.elements()
-    neg = mul[F.neg(1)]  # neg[c] == -c
     for block in range(Q ** (degree - 1)):
         upper = []  # c_1, ..., c_(l-1): the digits of the block index
         m = block
         for _ in range(degree - 1):
             m, c = divmod(m, Q)
             upper.append(c)
-        horner = upper[::-1]
         upper.append(1)
-        # in_image[y] is 1 iff y == g(x) for some x
-        in_image = bytearray(Q)
-        for x in elems:
+        yield from zip(itertools.compress(elems, root_free(upper)), itertools.repeat(upper))
+
+
+def _table_root_free(
+    F: FieldTower | PrimeField,
+) -> Callable[[List[Element]], bytearray]:
+    """The function that marks a block's root-free candidates: for upper =
+    [c_1, ..., c_(l-1), 1] it returns free, where free[c_0] == 1 iff g +
+    c_0 is root-free, g = x**l + ... + c_1 x.  This one runs Horner's rule
+    at each point on the field's `op_tables`."""
+    add, mul = F.op_tables
+    neg = mul[F.neg(1)]  # neg[c] == -c
+    points = [(x, neg[x]) for x in F.elements()]
+
+    def root_free(upper: List[Element]) -> bytearray:
+        horner = upper[-2::-1]  # c_(l-1), ..., c_1
+        free = bytearray(b"\1") * F.order
+        for x, minus_x in points:
             acc = 1
             for c in horner:
                 acc = add[mul[acc][x]][c]
-            in_image[mul[acc][x]] = 1
-        if 0 not in in_image:
-            continue
-        for c0 in elems:
-            if not in_image[neg[c0]]:
-                yield c0, upper
+            free[mul[acc][minus_x]] = 0  # -g(x) == acc * -x
+        return free
+
+    return root_free
+
+
+def _bulk_root_free(F: FieldTower) -> Callable[[List[Element]], bytearray]:
+    """`_table_root_free` in bulk, for a tower of any order: each Horner
+    step maps all Q - 1 units at once through an index table, a few C-level
+    passes per block instead of a Python loop over the points.
+
+    A unit is held as its discrete log i (generator**i, whose code is
+    i + 1) and zero as Z = 2Q - 3, which no sum of two logs reaches.  A
+    product is then one lookup, prod[a + b], and adding c == generator**j
+    one lookup in a row read off the Zech list rotated by j, since
+    generator**i + c == c * (1 + generator**(i - j)).  Horner's rule runs
+    (...((x + c_(l-1)) x + c_(l-2)) x ... + c_1) x, and the part before
+    "+ c_1" is kept while c_2..c_(l-1) stay the same.  x = 0 is a root of
+    every g, so it is left out, and c_0 = 0 is never root-free.  The
+    tables are arrays of 2-byte entries up to Q = 2**15, so a search at
+    Q = 2**14 holds about 0.2 MB of them.
+    """
+    from array import array  # here: no other path needs the module at start-up
+
+    M = F.order - 1
+    Z = 2 * M - 1
+    typecode = "H" if Z < 1 << 16 else "I"
+    logs = range(M)
+    # prod[a + b] == (a + b) % M for logs a and b, and Z when either is Z
+    prod = array(typecode, logs)
+    prod += prod[:M - 1]
+    prod += array(typecode, (Z,)) * M
+    # the Zech logs, with Z at the one i where 1 + generator**i == 0
+    zero_at = F._zech.index(None)
+    zech = memoryview(array(typecode, itertools.chain(
+        itertools.islice(F._zech, zero_at), (Z,), itertools.islice(F._zech, zero_at + 1, None))))
+    unused = array(typecode, (Z,)) * (M - 1)
+    shift = F.neg(1) - 1  # -generator**i == generator**(i + shift)
+
+    def plus(c: Element, values: Sequence[int]) -> Iterator[int]:
+        """The log of generator**a + c for each a in values, a log or Z; c != 0."""
+        j = c - 1
+        shifted = memoryview(prod)[j:]  # shifted[z] == (j + z) % M, and Z at z == Z
+        turned = itertools.chain(zech[M - j:], zech[:M - j])  # zech[(a - j) % M]
+        if values is logs:  # a runs over the logs in order: no row to look up
+            return map(shifted.__getitem__, turned)
+        row = array(typecode, map(shifted.__getitem__, turned))
+        row += unused  # no log or Z falls in row[M:Z]
+        row.append(j)
+        return map(row.__getitem__, values)
+
+    def times_x(values: Iterable[int]) -> Iterator[int]:
+        return map(prod.__getitem__, map(operator.add, values, logs))
+
+    high: List[Element] = []
+    head: Sequence[int] = logs  # Horner's value at each unit x before "+ c_1"
+
+    def root_free(upper: List[Element]) -> bytearray:
+        nonlocal high, head
+        if upper[1:] != high:
+            high = upper[1:]
+            head = logs
+            for c in high[-2::-1]:  # c_(l-1), ..., c_2
+                head = array(typecode, times_x(plus(c, head) if c else head))
+        c1 = upper[0]
+        missed = bytearray(b"\1") * (Z + 1)  # missed[i] == 0 iff generator**i == g(x)
+        # deque(..., 0) drains the marking map in C; it yields only Nones
+        collections.deque(map(missed.__setitem__, times_x(plus(c1, head) if c1 else head),
+                              itertools.repeat(0)), 0)
+        return bytearray(1) + missed[shift:M] + missed[:shift]
+
+    return root_free
 
 
 def _quadratic_factor_marks(
@@ -427,7 +519,8 @@ def root_free_monic(field: FieldTower | PrimeField, degree: int) -> Poly:
     fastest-varying.  An irreducible polynomial of degree >= 2 has no root
     in the field, so only the root-free candidates of
     `_root_free_candidates` are tried; at degree 2 or 3 the first of them
-    is the answer.
+    is the answer.  Those come from each block's image, read off the byte
+    tables up to 256 elements and computed in bulk on larger towers.
 
     The same search finds the scaling polynomial over a FieldTower and the
     tower's own modulus over its PrimeField, so this enumeration order

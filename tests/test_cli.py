@@ -59,6 +59,12 @@ def test_construct_out_of_range_exits_2(capsys):
     assert rc == 2
 
 
+def test_construct_theorem2_reports_the_range_of_d(capsys):
+    rc, out, err = run(capsys, ["construct", "theorem2", "--q", "128", "--t", "2", "--d", "1"])
+    assert (rc, out) == (2, "")
+    assert err == "invalid parameters: d=1 out of range 2..4 for theorem2 with q=128, t=2\n"
+
+
 def test_unknown_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["construct", "theorem1", "--q", "3", "--bogus", "1"])

@@ -11,6 +11,7 @@ from qmds.construct import (
     ParameterError,
     QuantumParams,
     additive_coset_code,
+    check_admissible,
     dimension_bound,
     grid,
     multiplicative_coset_code,
@@ -146,6 +147,35 @@ def test_grid_over_the_default_q_set():
     ]
     with pytest.raises(ParameterError):
         list(grid(3, "theorem3"))
+
+
+def reference_check_admissible(q, family, t, k):
+    """check_admissible from the whole grid: the exception it should raise
+    as (type, message), or None."""
+    ks = {k2: excluded for t2, k2, excluded in grid(q, family) if t2 == t}
+    if not ks:
+        return ParameterError, f"t={t} out of range for {family} with q={q}"
+    if k not in ks:
+        return ParameterError, f"k={k} out of range 1..{max(ks)} for {family} with q={q}, t={t}"
+    if ks[k]:
+        return ExcludedParameters, (
+            f"{family} with q={q}, t={t}, k={k} is excluded: no construction "
+            "in even characteristic with t = k = q-1 (quantum distance q)")
+    return None
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16])
+@pytest.mark.parametrize("family", [FAMILY_ADDITIVE, FAMILY_EXTENDED])
+def test_check_admissible_matches_the_whole_grid(q, family):
+    for t in range(q + 2):
+        for k in range(t + 4):
+            expected = reference_check_admissible(q, family, t, k)
+            try:
+                check_admissible(q, family, t, k)
+            except ParameterError as exc:
+                assert (type(exc), str(exc)) == expected, (t, k)
+            else:
+                assert expected is None, (t, k)
 
 
 def test_dimension_bound_values():
@@ -410,8 +440,10 @@ def test_distance_parameterization():
     assert res.code.k == 1
     with pytest.raises(ExcludedParameters):
         quantum_params_for_distance(4, 3, 4)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match=r"^d=5 out of range 2\.\.4 "):
         quantum_params_for_distance(3, 2, 5)  # d > t+2
+    with pytest.raises(ParameterError, match=r"^d=1 out of range 2\.\.4 "):
+        quantum_params_for_distance(3, 2, 1)
 
 
 def test_derive_quantum_from_classical_codes():

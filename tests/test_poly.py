@@ -207,6 +207,9 @@ PINNED_SCALING_POLYS = {
     (128, 2): (6, 1, 1),
     (127, 2): (2, 0, 1),
     (125, 2): (2, 0, 1),
+    (121, 2): (2, 0, 1),
+    (64, 3): (2, 0, 0, 1),
+    (32, 2): (8, 1, 1),
 }
 
 
@@ -222,6 +225,78 @@ def test_root_free_monic_returns_the_pinned_polynomial(q, degree):
 def test_root_free_monic_is_the_first_reference_irreducible(F, deg):
     first = next(f for f in monic_polys(F, deg) if reference_irreducible(f))
     assert root_free_monic(F, deg) == first
+
+
+def reference_root_free(F, upper):
+    """The c_0 with x**l + ... + c_1 x + c_0 root-free, for upper = [c_1,
+    ..., c_(l-1), 1], by evaluating at every point with the field's methods."""
+    image = set()
+    for x in F.elements():
+        acc = 0
+        for c in reversed(upper):
+            acc = F.mul(F.add(acc, c), x)
+        image.add(acc)
+    return [c0 for c0 in F.elements() if F.neg(c0) not in image]
+
+
+def block_index(F, upper):
+    return sum(c * F.order ** i for i, c in enumerate(upper[:-1]))
+
+
+# towers past the byte tables, where the search computes its images in bulk
+BULK_FIELDS = [make_field(17, 1), make_field(5, 2), make_field(3, 3), make_field(2, 5)]
+
+
+@pytest.mark.parametrize("F", BULK_FIELDS, ids=lambda F: f"F{F.order}")
+@pytest.mark.parametrize("degree", [2, 3, 4])
+def test_bulk_root_free_matches_evaluation_at_every_point(F, degree):
+    rng = random.Random(F.order * 10 + degree)
+    Q = F.order
+    blocks = [[0] * (degree - 1) + [1]]  # g = x**l
+    if degree > 2:  # a zero middle coefficient
+        blocks.append([rng.randrange(1, Q)] + [0] * (degree - 3) + [rng.randrange(1, Q), 1])
+    for _ in range(4):  # random ones, two sharing c_2..c_(l-1)
+        blocks.append([rng.randrange(Q) for _ in range(degree - 1)] + [1])
+    blocks.append([rng.randrange(Q)] + blocks[-1][1:])
+    root_free = poly._bulk_root_free(F)
+    for upper in blocks:
+        free = root_free(upper)
+        assert len(free) == Q
+        assert [c0 for c0 in F.elements() if free[c0]] == reference_root_free(F, upper), upper
+
+
+@pytest.mark.parametrize("F", BULK_FIELDS, ids=lambda F: f"F{F.order}")
+@pytest.mark.parametrize("degree", [2, 3, 4])
+def test_root_free_candidates_past_the_byte_tables(F, degree):
+    # only the first three blocks, never the whole Q**degree enumeration
+    head = itertools.takewhile(lambda cand: block_index(F, cand[1]) < 3,
+                               poly._root_free_candidates(F, degree))
+    got = [(block_index(F, upper), c0) for c0, upper in head]
+    expected = []
+    for block in range(3):
+        upper = [block] + [0] * (degree - 2) + [1]
+        expected += [(block, c0) for c0 in reference_root_free(F, upper)]
+    assert got == expected
+    if F.p == 2 and degree == 2:  # x**2 is a bijection: block 0 holds none
+        assert got[0][0] == 1
+
+
+@pytest.mark.parametrize("F", [F4, F9, F16], ids=["F4", "F9", "F16"])
+def test_bulk_and_table_root_free_agree_on_every_small_block(F):
+    bulk, table = poly._bulk_root_free(F), poly._table_root_free(F)
+    for degree in (2, 3):
+        for digits in itertools.product(range(F.order), repeat=degree - 1):
+            upper = list(digits) + [1]
+            assert bulk(upper) == table(upper), upper
+
+
+def test_bulk_root_free_on_four_byte_tables():
+    # past Q = 2**15 the logs and the zero sentinel need 4-byte entries
+    F = make_field(3, 5, element_bound=2 ** 16)
+    root_free = poly._bulk_root_free(F)
+    for upper in ([0, 1], [5, 1], [F.order - 1, 1]):
+        free = root_free(upper)
+        assert [c0 for c0 in F.elements() if free[c0]] == reference_root_free(F, upper)
 
 
 def reference_quadratic_factor_marks(F, high):
