@@ -27,7 +27,8 @@ is GF(p)-linear, so a step looks up the images of the two base-q halves of
 the packed vector, adds them without carries (the images are stored in
 base 2p - 1) and reduces each half of the sum mod p with one more lookup.
 1 + x changes only the lowest digit of a packed x, so each Zech logarithm
-is a single lookup too.
+is a single lookup too.  The build's products mod the modulus run on the
+polynomial kernels in `poly`, over `PrimeField(p)`.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import functools
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .poly import root_free_monic
+from .poly import _power, _product, root_free_monic
 
 #: Elements are canonical integer encodings (see module docstring).
 Element = int
@@ -100,9 +101,10 @@ def factor_prime_power(q: int) -> Tuple[int, int]:
 
 @dataclass(frozen=True)
 class PrimeField:
-    """GF(p) on the ints 0..p-1, with just what `root_free_monic` reads to
-    find a tower's modulus.  Equal and hashed by p, so the search's cache
-    keeps one entry per (p, degree)."""
+    """GF(p) on the ints 0..p-1, with just what `root_free_monic` and the
+    polynomial kernels in `poly` read to find a tower's modulus and build
+    its tables.  Equal and hashed by p, so the search's cache keeps one
+    entry per (p, degree)."""
 
     p: int
 
@@ -111,10 +113,12 @@ class PrimeField:
         return self.p
 
     @property
-    def op_tables(self) -> Tuple["_MethodTable", "_MethodTable"]:
-        p = self.p
-        return (_MethodTable(lambda x, y: (x + y) % p),
-                _MethodTable(lambda x, y: x * y % p))
+    def op_tables(self) -> Tuple[Tuple[Sequence[int], ...], Tuple[Sequence[int], ...]]:
+        """(add, mul) with add[x][y] == (x + y) % p and mul[x][y] == x * y
+        % p, built once per p and shared by every instance.  The rows are
+        `bytes` up to LOOKUP_TABLE_MAX_ORDER, which covers every p the
+        element bound admits, and tuples above."""
+        return _prime_tables(self.p)
 
     def neg(self, x: int) -> int:
         return -x % self.p
@@ -124,6 +128,14 @@ class PrimeField:
 
     def elements(self) -> range:
         return range(self.p)
+
+
+@functools.lru_cache(maxsize=None)
+def _prime_tables(p: int) -> Tuple[Tuple[Sequence[int], ...], Tuple[Sequence[int], ...]]:
+    row = bytes if p <= LOOKUP_TABLE_MAX_ORDER else tuple
+    elems = range(p)
+    return (tuple(row((x + y) % p for y in elems) for x in elems),
+            tuple(row(x * y % p for y in elems) for x in elems))
 
 
 class FieldTower:
@@ -165,37 +177,6 @@ class FieldTower:
             digits.append(r)
         return digits
 
-    def _pack(self, digits: List[int]) -> int:
-        out = 0
-        for d in reversed(digits):
-            out = out * self.p + d
-        return out
-
-    def _vmul(self, a: int, b: int) -> int:
-        p, n = self.p, 2 * self.e
-        da, db = self._unpack(a), self._unpack(b)
-        prod = [0] * (2 * n - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    prod[i + j] = (prod[i + j] + x * y) % p
-        for i in range(len(prod) - 1, n - 1, -1):
-            c = prod[i]
-            if c:
-                prod[i] = 0
-                for j in range(n):
-                    prod[i - n + j] = (prod[i - n + j] - c * self.modulus[j]) % p
-        return self._pack(prod[:n])
-
-    def _vpow(self, a: int, m: int) -> int:
-        result = 1
-        while m:
-            if m & 1:
-                result = self._vmul(result, a)
-            a = self._vmul(a, a)
-            m >>= 1
-        return result
-
     def _exp_log(self) -> Tuple[int, List[int], List[Optional[int]]]:
         """(g, exp, log): g is the packed generator, the primitive element
         with the smallest packed vector; exp[j] is g**j packed, for
@@ -204,31 +185,35 @@ class FieldTower:
 
         Multiplying by g is GF(p)-linear, so one step splits the packed
         vector into its base-q halves, hi and lo, and adds the images of
-        lo*g and hi*x**e*g from two tables of q entries each (2q `_vmul`
-        calls, made once).  The images are stored in base B = 2p - 1, so
-        each digit of the sum is at most 2p - 2 and the sum has no carries;
-        one table of B**e entries maps each half of the sum back to base-p
-        digits reduced mod p.
+        lo*g and hi*x**e*g from two tables of q entries each (2q products
+        mod the modulus, made once).  The images are stored in base B =
+        2p - 1, so each digit of the sum is at most 2p - 2 and the sum has
+        no carries; one table of B**e entries maps each half of the sum back
+        to base-p digits reduced mod p.
         """
         p, e, q = self.p, self.e, self.q
         M = self.order - 1
         factors = prime_factors(M)
-        gen_packed = 0
-        for cand in range(2, self.order):
-            if all(self._vpow(cand, M // r) != 1 for r in factors):
-                gen_packed = cand
+        # residues mod the modulus as digit lists, multiplied over GF(p)
+        Fp = PrimeField(p)
+        tail = [-c % p for c in self.modulus[:-1]]
+        one = self._unpack(1)
+        for gen_packed in range(2, self.order):
+            gen = self._unpack(gen_packed)
+            if all(_power(Fp, gen, M // r, tail) != one for r in factors):
                 break
-        if not gen_packed:
+        else:
             raise RuntimeError("no primitive element found")  # cannot happen
 
         B = 2 * p - 1
         Be = B ** e
 
-        def rebase(v: int) -> int:  # base-p digits read in base B
-            return sum(d * B ** i for i, d in enumerate(self._unpack(v)))
+        def image(v: int) -> int:  # v*g as base-p digits read in base B
+            vg = _product(Fp, self._unpack(v), gen, tail)
+            return sum(d * B ** i for i, d in enumerate(vg))
 
-        low = [rebase(self._vmul(lo, gen_packed)) for lo in range(q)]
-        high = [rebase(self._vmul(hi * q, gen_packed)) for hi in range(q)]
+        low = [image(lo) for lo in range(q)]
+        high = [image(hi * q) for hi in range(q)]
         # reduce[n] for n = d_0 + d_1*B + ...: the digits d_i mod p in base p
         reduce = [0]
         for _ in range(e):
@@ -338,6 +323,7 @@ class FieldTower:
         loop runs on every field without materialising order**2 entries.
         The root-free search reads these tables only up to that order;
         above it, it works on discrete logs and the Zech list directly.
+        The polynomial kernels in `poly` read them on every field.
 
         The rows are slices of two base rows.  Multiplication adds discrete
         logs, so row x is 0 followed by the units 1..order-1 rotated by
@@ -444,7 +430,8 @@ class _MethodRow:
 
 
 class _MethodTable:
-    """A binary field operation indexed like a table: table[x][y] == op(x, y)."""
+    """A binary field operation indexed like a table: table[x][y] == op(x, y),
+    for the towers past LOOKUP_TABLE_MAX_ORDER only."""
 
     __slots__ = ("_op",)
 

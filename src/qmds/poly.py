@@ -9,8 +9,10 @@ twice: over GF(q^2) it picks the scaling polynomial of the extended
 family, and over `field.PrimeField(p)` the modulus of GF(q^2) itself, so
 its enumeration order fixes every element encoding.
 
-Evaluation and the last two read the field's `op_tables` instead of
-calling its methods.
+Polynomials are multiplied, reduced and powered only by the kernels
+`_product`, `_remainder` and `_power`, on coefficient lists: `Poly`, the
+search and the field build (over `field.PrimeField`) all call them.  They,
+evaluation and the search read the field's `op_tables`, not its methods.
 The search evaluates each block of Q candidates, which differ only in the
 constant term, once at every field element and reads the root-free
 candidates off the block's image.  Up to 256 elements it reads the byte
@@ -50,11 +52,13 @@ class Poly:
 
     def __init__(self, field: FieldTower, coeffs: Iterable[Element] = ()):
         cs = list(coeffs)
+        # type(c) is int, not isinstance: a bool is an int subclass, and
+        # neither a bool nor a float is an element encoding
+        for c in cs:
+            if type(c) is not int or not 0 <= c < field.order:
+                raise ValueError(f"coefficient {c!r} is not an element of {field!r}")
         while cs and cs[-1] == 0:
             cs.pop()
-        for c in cs:
-            if not 0 <= c < field.order:
-                raise ValueError(f"coefficient {c} out of range for {field!r}")
         self.field = field
         self.coeffs: Tuple[Element, ...] = tuple(cs)
 
@@ -118,17 +122,7 @@ class Poly:
         return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        F = self.field
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Poly(F)
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        out[i + j] = F.add(out[i + j], F.mul(x, y))
-        return Poly(F, out)
+        return Poly(self.field, _product(self.field, self.coeffs, other.coeffs))
 
     def scaled(self, c: Element) -> "Poly":
         F = self.field
@@ -138,18 +132,7 @@ class Poly:
         F = self.field
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        db = other.degree
-        lc_inv = F.inv(other.coeffs[-1])
-        quot = [0] * max(len(rem) - db, 0)
-        while len(rem) - 1 >= db and rem:
-            c = F.mul(rem[-1], lc_inv)
-            shift = len(rem) - 1 - db
-            quot[shift] = c
-            for j, y in enumerate(other.coeffs):
-                rem[shift + j] = F.sub(rem[shift + j], F.mul(c, y))
-            while rem and rem[-1] == 0:
-                rem.pop()
+        quot, rem = _remainder(F, self.coeffs, other.coeffs, quotient=True)
         return Poly(F, quot), Poly(F, rem)
 
     def __floordiv__(self, other: "Poly") -> "Poly":
@@ -190,6 +173,77 @@ class Poly:
         return f"Poly({self.field!r}, {self.coeffs})"
 
 
+def _product(
+    F: FieldTower | PrimeField, a: Sequence[Element], b: Sequence[Element],
+    tail: Optional[Sequence[Element]] = None,
+) -> List[Element]:
+    """The coefficient list of a * b, empty if a or b is.
+
+    Given a tail, a * b mod f instead, where f has degree d = len(tail) and
+    x**d == tail[0] + tail[1] x + ... + tail[d-1] x**(d-1) (mod f): a and b
+    are then residues padded to length d, and so is the result."""
+    if not a or not b:
+        return []
+    add, mul = F.op_tables
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            row = mul[x]
+            for j, y in enumerate(b, i):
+                out[j] = add[out[j]][row[y]]
+    if tail is None:
+        return out
+    d = len(tail)
+    for top in range(len(out) - 1, d - 1, -1):
+        c = out[top]
+        if c:
+            row = mul[c]
+            for j, y in enumerate(tail, top - d):
+                out[j] = add[out[j]][row[y]]
+    return out[:d]
+
+
+def _remainder(
+    F: FieldTower | PrimeField, a: Sequence[Element], b: Sequence[Element],
+    quotient: bool = False,
+):
+    """a mod b, trimmed, for trimmed coefficient lists with b nonzero; with
+    quotient=True, the pair (a // b, a mod b).  Every remainder Euclid's
+    algorithm meets is then trimmed too, so its leading coefficient is a
+    unit."""
+    add, mul = F.op_tables
+    rem = list(a)
+    db = len(b) - 1
+    minus_lc_inv = F.neg(F.inv(b[-1]))
+    minus_quot = [0] * max(len(rem) - db, 0)
+    while len(rem) > db:
+        shift = len(rem) - 1 - db
+        minus_quot[shift] = c = mul[rem[-1]][minus_lc_inv]
+        row = mul[c]
+        for j, y in enumerate(b, shift):
+            rem[j] = add[rem[j]][row[y]]
+        rem.pop()
+        while rem and rem[-1] == 0:
+            rem.pop()
+    if quotient:
+        neg = mul[F.neg(1)]
+        return [neg[c] for c in minus_quot], rem
+    return rem
+
+
+def _power(
+    F: FieldTower | PrimeField, a: Sequence[Element], m: int, tail: Sequence[Element]
+) -> List[Element]:
+    """a**m mod f for m >= 1, by square-and-multiply; a, f and the result
+    as in `_product` with a tail."""
+    h = a
+    for bit in bin(m)[3:]:
+        h = _product(F, h, h, tail)
+        if bit == "1":
+            h = _product(F, h, a, tail)
+    return h
+
+
 def is_irreducible(f: Poly) -> bool:
     """Irreducibility over the big field GF(q^2), of order Q.
 
@@ -220,35 +274,13 @@ def _irreducible_from(f: Poly, start: int) -> bool:
     F = f.field
     add, mul = F.op_tables
     # x**d == tail[0] + tail[1] x + ... + tail[d-1] x**(d-1)  (mod f)
-    lc_inv = mul[F.inv(f.coeffs[-1])]
-    tail = [F.neg(lc_inv[c]) for c in f.coeffs[:-1]]
-
-    def mulmod(a: List[Element], b: List[Element]) -> List[Element]:
-        prod = [0] * (2 * d - 1)
-        for i, x in enumerate(a):
-            if x:
-                row = mul[x]
-                for j, y in enumerate(b, i):
-                    prod[j] = add[prod[j]][row[y]]
-        for top in range(2 * d - 2, d - 1, -1):
-            c = prod[top]
-            if c:
-                row = mul[c]
-                for j, y in enumerate(tail, top - d):
-                    prod[j] = add[prod[j]][row[y]]
-        return prod[:d]
-
-    x = [0, 1] + [0] * (d - 2)
-    h = x
-    for bit in bin(F.order)[3:]:
-        h = mulmod(h, h)
-        if bit == "1":
-            h = mulmod(h, x)
+    minus_lc_inv = mul[F.neg(F.inv(f.coeffs[-1]))]
+    tail = [minus_lc_inv[c] for c in f.coeffs[:-1]]
+    h = _power(F, [0, 1] + [0] * (d - 2), F.order, tail)
     rows = [[1] + [0] * (d - 1), h]
     while len(rows) < d:
-        rows.append(mulmod(rows[-1], h))
+        rows.append(_product(F, rows[-1], h, tail))
 
-    monic = [lc_inv[c] for c in f.coeffs]
     minus_one = F.neg(1)
     for i in range(1, d // 2 + 1):
         if i > 1:
@@ -261,12 +293,12 @@ def _irreducible_from(f: Poly, start: int) -> bool:
         if i >= start:
             diff = list(h)
             diff[1] = add[diff[1]][minus_one]
-            if _gcd_degree(F, monic, diff) > 0:
+            if _gcd_degree(F, f.coeffs, diff) > 0:
                 return False
     return True
 
 
-def _gcd_degree(F: FieldTower | PrimeField, a: List[Element], b: List[Element]) -> int:
+def _gcd_degree(F: FieldTower | PrimeField, a: Sequence[Element], b: Sequence[Element]) -> int:
     """Degree of gcd(a, b) for coefficient lists with a trimmed and nonzero."""
     b = list(b)
     while b and b[-1] == 0:
@@ -274,26 +306,6 @@ def _gcd_degree(F: FieldTower | PrimeField, a: List[Element], b: List[Element]) 
     while b:
         a, b = b, _remainder(F, a, b)
     return len(a) - 1
-
-
-def _remainder(
-    F: FieldTower | PrimeField, a: Sequence[Element], b: Sequence[Element]
-) -> List[Element]:
-    """a mod b, trimmed, for coefficient lists with b trimmed and nonzero.
-    Every remainder Euclid's algorithm meets is then trimmed too, so its
-    leading coefficient is a unit."""
-    add, mul = F.op_tables
-    rem = list(a)
-    db = len(b) - 1
-    minus_lc_inv = F.neg(F.inv(b[-1]))
-    while len(rem) > db:
-        row = mul[mul[rem[-1]][minus_lc_inv]]
-        for j, y in enumerate(b, len(rem) - 1 - db):
-            rem[j] = add[rem[j]][row[y]]
-        rem.pop()
-        while rem and rem[-1] == 0:
-            rem.pop()
-    return rem
 
 
 def _discriminant_parity(

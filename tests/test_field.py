@@ -223,6 +223,17 @@ def test_tables_are_pinned_and_match_a_schoolbook_reference(p, e):
         assert F.add(1, 1 + j) == (0 if s == 0 else 1 + log[s]), j
 
 
+@pytest.mark.parametrize("p", [2, 3, 251])
+def test_prime_field_tables_are_built_once_and_match_arithmetic_mod_p(p):
+    # rebuilding them on each access made FieldTower(127, 1) take seconds
+    tables = PrimeField(p).op_tables
+    assert PrimeField(p).op_tables is tables and PrimeField(p).op_tables is tables
+    add, mul = tables
+    assert all(type(row) is bytes for row in add + mul)
+    assert [list(row) for row in add] == [[(x + y) % p for y in range(p)] for x in range(p)]
+    assert [list(row) for row in mul] == [[x * y % p for y in range(p)] for x in range(p)]
+
+
 def test_make_field_rejects_bad_input():
     with pytest.raises(ValueError):
         make_field(4, 1)

@@ -60,6 +60,12 @@ def test_grs_code_rejects_a_dimension_that_is_not_an_int(k):
         GRSCode(F4, (0, 1), (1, 1), k)
 
 
+@pytest.mark.parametrize("c", [2.5, 1.0, True, 0.0], ids=["float", "whole-float", "bool", "zero-float"])
+def test_poly_rejects_a_coefficient_that_is_not_an_int(c):
+    with pytest.raises(ValueError, match="coefficient"):
+        Poly(F4, [1, c])  # a trailing 0.0 is rejected, not trimmed away
+
+
 def test_linear_code_validation():
     with pytest.raises(ValueError):
         LinearCode(F9, ((1, 1), (TWO, TWO)))  # dependent rows

@@ -6,11 +6,14 @@ import random
 import pytest
 
 from qmds import poly
-from qmds.field import field_for_prime_power, make_field
+from qmds.field import PrimeField, field_for_prime_power, make_field
 from qmds.poly import (
     Poly,
     _discriminant_parity,
+    _power,
+    _product,
     _quadratic_factor_marks,
+    _remainder,
     is_irreducible,
     lagrange_interpolate,
     root_free_monic,
@@ -20,6 +23,8 @@ F4 = make_field(2, 1)
 F9 = make_field(3, 1)
 F16 = make_field(2, 2)
 F64 = make_field(2, 3)
+F256 = make_field(2, 4)  # the largest tower with byte tables
+F289 = make_field(17, 1)  # past them: op_tables are views on the methods
 
 
 def random_poly(F, max_deg, rng):
@@ -42,28 +47,124 @@ def test_coeff_out_of_range_rejected():
         Poly(F4, (5,))
 
 
-def test_arithmetic_agrees_with_evaluation():
+@pytest.mark.parametrize("F", [F9, F256, F289], ids=lambda F: f"F{F.order}")
+def test_arithmetic_agrees_with_evaluation(F):
     rng = random.Random(2)
+    points = F.elements() if F.order <= 16 else random.Random(F.order).sample(F.elements(), 32)
     for _ in range(50):
-        f = random_poly(F9, 4, rng)
-        g = random_poly(F9, 4, rng)
-        for x in F9.elements():
-            assert (f + g)(x) == F9.add(f(x), g(x))
-            assert (f * g)(x) == F9.mul(f(x), g(x))
-            assert (f - g)(x) == F9.sub(f(x), g(x))
-            assert (-f)(x) == F9.neg(f(x))
+        f = random_poly(F, 4, rng)
+        g = random_poly(F, 4, rng)
+        for x in points:
+            assert (f + g)(x) == F.add(f(x), g(x))
+            assert (f * g)(x) == F.mul(f(x), g(x))
+            assert (f - g)(x) == F.sub(f(x), g(x))
+            assert (-f)(x) == F.neg(f(x))
+    zero = Poly.zero(F)
+    assert zero * f == f * zero == zero
 
 
-def test_divmod_invariant():
+@pytest.mark.parametrize("F", [F9, F256, F289], ids=lambda F: f"F{F.order}")
+def test_divmod_invariant(F):
     rng = random.Random(3)
     for _ in range(50):
-        f = random_poly(F9, 6, rng)
-        g = random_poly(F9, 3, rng)
+        f = random_poly(F, 6, rng)
+        g = random_poly(F, 3, rng)
         if g.is_zero():
             continue
         quot, rem = divmod(f, g)
         assert rem.degree < g.degree
         assert quot * g + rem == f
+    # a zero dividend, a dividend of lower degree and a constant divisor
+    g = Poly(F, (1, 2, 3))
+    assert divmod(Poly.zero(F), g) == (Poly.zero(F), Poly.zero(F))
+    assert divmod(Poly.x(F), g) == (Poly.zero(F), Poly.x(F))
+    assert divmod(g, Poly.constant(F, 3)) == (g.scaled(F.inv(3)), Poly.zero(F))
+
+
+# -- the coefficient-list kernels against schoolbook arithmetic ----------
+
+KERNEL_FIELDS = [PrimeField(2), PrimeField(3), PrimeField(251), F9, F256, F289]
+
+
+def schoolbook_ops(F):
+    """(add, mul) as plain functions: arithmetic mod p on a PrimeField, the
+    tower's methods on a FieldTower; neither reads op_tables."""
+    if isinstance(F, PrimeField):
+        p = F.p
+        return (lambda x, y: (x + y) % p), (lambda x, y: x * y % p)
+    return F.add, F.mul
+
+
+def trimmed(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def schoolbook_product(F, a, b):
+    add, mul = schoolbook_ops(F)
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = add(out[i + j], mul(x, y))
+    return out if a and b else []
+
+
+def schoolbook_divmod(F, a, b):
+    """Long division: take c x**s * b off the top term, s from the top down."""
+    add, mul = schoolbook_ops(F)
+    rem = list(a)
+    quot = [0] * max(len(a) - len(b) + 1, 0)
+    for s in reversed(range(len(quot))):
+        c = mul(rem[s + len(b) - 1], F.inv(b[-1]))
+        quot[s] = c
+        for j, y in enumerate(b):
+            rem[s + j] = add(rem[s + j], F.neg(mul(c, y)))
+    return trimmed(quot), trimmed(rem)
+
+
+def schoolbook_mulmod(F, a, b, f):
+    rem = schoolbook_divmod(F, schoolbook_product(F, a, b), f)[1]
+    return rem + [0] * (len(f) - 1 - len(rem))
+
+
+@pytest.mark.parametrize("F", KERNEL_FIELDS, ids=lambda F: f"{type(F).__name__}{F.order}")
+def test_kernels_match_schoolbook_arithmetic(F):
+    """_product, _remainder with and without the quotient, _product with a
+    tail (mulmod) and _power, on zero operands, short dividends and
+    divisors whose leading coefficient is not 1."""
+    rng = random.Random(F.order)
+    _, mul = schoolbook_ops(F)
+
+    def coeffs(n):
+        return [rng.randrange(F.order) for _ in range(n)]
+
+    for _ in range(40):
+        a, b = coeffs(rng.randrange(7)), coeffs(rng.randrange(7))
+        assert _product(F, a, b) == schoolbook_product(F, a, b)
+        assert _product(F, [0] * len(a), b) == [0] * len(schoolbook_product(F, a, b))
+
+        divisor = coeffs(rng.randrange(1, 5)) + [rng.randrange(1, F.order)]
+        for dividend in (trimmed(a), trimmed(coeffs(9)), [], [5 % F.order]):
+            expected = schoolbook_divmod(F, dividend, divisor)
+            assert _remainder(F, dividend, divisor, quotient=True) == expected
+            assert _remainder(F, dividend, divisor) == expected[1]
+
+        # f of degree d, usually not monic: x**d == tail (mod f)
+        d = rng.randrange(1, 6)
+        f = coeffs(d) + [rng.randrange(1, F.order)]
+        minus_lc_inv = F.neg(F.inv(f[-1]))
+        tail = [mul(minus_lc_inv, c) for c in f[:-1]]
+        x, y = coeffs(d), coeffs(d)
+        assert _product(F, x, y, tail) == schoolbook_mulmod(F, x, y, f)
+        assert _product(F, [0] * d, y, tail) == [0] * d
+        for m in (1, 2, 3, F.order, rng.randrange(1, 300)):
+            expected = x
+            for _ in range(m - 1):
+                expected = schoolbook_mulmod(F, expected, x, f)
+            assert _power(F, x, m, tail) == expected, m
+        assert _power(F, [0] * d, 5, tail) == [0] * d
 
 
 def test_frobenius_poly_examples():
