@@ -29,7 +29,6 @@ from .grs import (
     is_hermitian_self_orthogonal,
     is_mds_by_rank,
     min_distance_bruteforce,
-    nullspace_dual,
     w_vector,
 )
 from .poly import Poly, lagrange_interpolate, root_free_monic
@@ -78,7 +77,6 @@ __all__ = [
     "make_field",
     "min_distance_bruteforce",
     "multiplicative_coset_code",
-    "nullspace_dual",
     "quantum_params_for_distance",
     "root_free_monic",
     "sweep",

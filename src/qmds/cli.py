@@ -150,7 +150,8 @@ def _cmd_verify(args: argparse.Namespace, bound: int) -> int:
     report = verify_code(code, identity=os.path.basename(args.file))
     obj = report.as_dict()
     qp = QuantumParams.from_classical(code.length, code.k, code.field.q, args.file)
-    obj["quantum"] = qp.as_dict()
+    # [[N, N-2k, k+1]] holds only on the premises the report checks
+    obj["quantum"] = qp.as_dict() if report.passed else None
     serialize.save(obj, sys.stdout)
     print(f"elapsed: {report.elapsed:.3f}s", file=sys.stderr)
     return EXIT_OK if report.passed else EXIT_VERIFICATION

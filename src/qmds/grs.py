@@ -1,7 +1,7 @@
 """Generalized Reed-Solomon codes over GF(q^2), plain and extended, with
-their dual descriptions, Hermitian-orthogonality checks, and independent
-verification primitives (nullspace duals, brute-force minimum distance,
-k-column rank tests).
+their closed-form dual bases (checked by orthogonality and rank),
+Hermitian-orthogonality checks, and independent verification primitives
+(brute-force minimum distance, k-column rank tests).
 
 A plain GRS code evaluates polynomials of degree < k at n distinct points,
 scaling coordinate i by a nonzero multiplier v_i.  The extended variant
@@ -18,8 +18,10 @@ k-subset that extends it, and settles the last two columns of every subset
 with about N projective-key insertions per (k-2)-column prefix.  Both hold
 O(k*N) field elements and read the field's add/mul lookup tables
 (`FieldTower.op_tables`).  Their caps still count all Q^k codewords and
-all C(N, k) subsets.  The generator rows and the Hermitian Gram product
-read the same tables.
+all C(N, k) subsets.  The generator rows read the same tables, and so
+does `row_products`, the one row-product loop behind the Hermitian Gram
+product, direct Hermitian-dual membership and the dual-basis
+orthogonality check.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .field import Element, FieldTower
-from .linalg import Matrix, nullspace, rank
+from .linalg import Matrix, rank
 from .poly import Poly, lagrange_interpolate
 
 #: Default cap on the number of codewords enumerated by the brute-force
@@ -181,66 +183,55 @@ def w_vector(field: FieldTower, points: Sequence[Element]) -> List[Element]:
     return out
 
 
-def dual_basis(field: FieldTower, points: Sequence[Element], k: int) -> Matrix:
+def dual_basis(
+    field: FieldTower, points: Sequence[Element], k: int, extended: bool = False
+) -> Matrix:
     """Basis of the Euclidean dual of the unit-multiplier GRS code of
     dimension k: rows (w_1 g(a_1), ..., w_n g(a_n)) for g = x**j,
-    j = 0..n-k-1.  Empty for k == n."""
-    n = len(points)
-    if not 1 <= k <= n:
-        raise ValueError(f"k={k} out of range for {n} points")
-    w = w_vector(field, points)
-    rows: Matrix = []
-    for j in range(n - k):
-        rows.append([field.mul(wi, field.pow(ai, j)) for ai, wi in zip(points, w)])
+    j = 0..n-k-1, the generator rows of GRS_{n-k}(a, w).
+
+    The extended code's dual takes j = 0..n-k and appends -g_{n-k}, which
+    is -1 exactly for j = n-k and 0 otherwise.  Empty when k is the full
+    length."""
+    length = len(points) + extended
+    if not 1 <= k <= length:
+        raise ValueError(f"k={k} out of range for length {length}")
+    if k == length:
+        return []
+    rows = generator_matrix(GRSCode(field, points, w_vector(field, points), length - k))
+    if extended:
+        for row in rows:
+            row.append(0)
+        rows[-1][-1] = field.neg(1)
     return rows
 
 
-def extended_dual_basis(field: FieldTower, points: Sequence[Element], k: int) -> Matrix:
-    """Basis of the Euclidean dual of the extended unit-multiplier GRS code:
-    rows (w_1 g(a_1), ..., w_n g(a_n), -g_{n-k}) for g = x**j, j = 0..n-k.
-    The last coordinate is -1 exactly for j = n-k and 0 otherwise."""
-    n = len(points)
-    if not 1 <= k <= n + 1:
-        raise ValueError(f"k={k} out of range for extended length {n + 1}")
-    w = w_vector(field, points)
-    rows: Matrix = []
-    for j in range(n - k + 1):
-        row = [field.mul(wi, field.pow(ai, j)) for ai, wi in zip(points, w)]
-        row.append(field.neg(1) if j == n - k else 0)
-        rows.append(row)
-    return rows
-
-
-def nullspace_dual(code: LinearCode, hermitian: bool = False) -> LinearCode:
-    """Dual code computed from the generator's nullspace.
-
-    Euclidean: basis of {u : G u^T = 0}.  Hermitian: basis of
-    {u : u^(q) G^T = 0} where u^(q) is the coordinatewise q-th power;
-    since Frobenius is an involutive automorphism this is the entrywise
-    Frobenius image of the Euclidean dual.
-    """
-    F = code.field
-    basis = nullspace(F, code.rows, width=code.length)
-    if hermitian:
-        basis = [[F.frobenius(x) for x in row] for row in basis]
-    return LinearCode(F, tuple(tuple(r) for r in basis), code.length)
+def row_products(
+    field: FieldTower, word: Sequence[Element], rows: Sequence[Sequence[Element]]
+) -> List[Element]:
+    """The products sum_i word_i * row_i of one word with each of the rows,
+    through the rows mul[word_i] of the field's lookup tables."""
+    add, mul = field.op_tables
+    by_entry = [mul[x] for x in word]
+    out: List[Element] = []
+    for row in rows:
+        acc: Element = 0
+        for m, y in zip(by_entry, row):
+            acc = add[acc][m[y]]
+        out.append(acc)
+    return out
 
 
 def hermitian_gram(field: FieldTower, rows: Sequence[Sequence[Element]]) -> Matrix:
     """G^(q) * G^T for the given generator rows.
 
-    Each row's Frobenius image is taken once and kept as rows mul[x^q] of
-    the field's lookup tables; the sums accumulate through add.  Entry
-    (j, i) is the Frobenius image of entry (i, j), because x**(q^2) == x,
-    so only the entries with j >= i are summed."""
-    add, mul = field.op_tables
+    Row i's Frobenius image meets the rows from i on in one row_products
+    pass.  Entry (j, i) is the Frobenius image of entry (i, j), because
+    x**(q^2) == x, so only the entries with j >= i are summed."""
     out: Matrix = [[0] * len(rows) for _ in rows]
     for i, r in enumerate(rows):
-        rq = [mul[x] for x in map(field.frobenius, r)]
-        for j in range(i, len(rows)):
-            acc: Element = 0
-            for m, y in zip(rq, rows[j]):
-                acc = add[acc][m[y]]
+        rq = [field.frobenius(x) for x in r]
+        for j, acc in enumerate(row_products(field, rq, rows[i:]), i):
             out[i][j] = acc
             out[j][i] = field.frobenius(acc)
     return out
@@ -263,16 +254,8 @@ def is_hermitian_self_orthogonal(code) -> Tuple[bool, Optional[Tuple[int, int, E
 def hermitian_dual_contains(code, word: Sequence[Element]) -> bool:
     """Direct membership of a word in the Hermitian dual: word^(q) G^T == 0."""
     F = code.field
-    rows = generator_rows(code)
     wq = [F.frobenius(x) for x in word]
-    for row in rows:
-        acc: Element = 0
-        for x, y in zip(wq, row):
-            if x and y:
-                acc = F.add(acc, F.mul(x, y))
-        if acc != 0:
-            return False
-    return True
+    return not any(row_products(F, wq, generator_rows(code)))
 
 
 def in_hermitian_dual(code: GRSCode, f: Poly) -> bool:

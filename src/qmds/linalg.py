@@ -8,8 +8,9 @@ The element loops read the field's add/mul lookup tables
 scales a pivot row with pivot p, and one pass of add[x][f[y]] with
 f = mul[-e] clears the entry e in the pivot column of another row.  Past
 `LOOKUP_TABLE_MAX_ORDER` the tables are views that call the field's
-methods, so the same loops run on every field.  `rank`, `nullspace` and
-`same_row_space` all go through `rref`.
+methods, so the same loops run on every field.  `rank` goes through
+`rref`; it backs the full-row-rank check of a `LinearCode` and the rank
+half of the identity suites' dual-basis check.
 """
 
 from __future__ import annotations
@@ -56,41 +57,3 @@ def rref(field: FieldTower, rows: Sequence[Sequence[Element]]) -> Tuple[Matrix, 
 def rank(field: FieldTower, rows: Sequence[Sequence[Element]]) -> int:
     return len(rref(field, rows)[1])
 
-
-def nullspace(
-    field: FieldTower, rows: Sequence[Sequence[Element]], width: int | None = None
-) -> Matrix:
-    """Basis of the right nullspace {x : rows @ x == 0}.
-
-    width is required when rows is empty (the nullspace is then all of F^width).
-    """
-    if not rows:
-        if width is None:
-            raise ValueError("width is required for an empty matrix")
-        return [[1 if j == i else 0 for j in range(width)] for i in range(width)]
-    ncols = len(rows[0])
-    reduced, pivots = rref(field, rows)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis: Matrix = []
-    for f in free:
-        vec = [0] * ncols
-        vec[f] = 1
-        for r, c in enumerate(pivots):
-            vec[c] = field.neg(reduced[r][f])
-        basis.append(vec)
-    return basis
-
-
-def same_row_space(
-    field: FieldTower,
-    a: Sequence[Sequence[Element]],
-    b: Sequence[Sequence[Element]],
-) -> bool:
-    """Whether two generating sets span the same row space."""
-    ra = rank(field, a)
-    rb = rank(field, b)
-    if ra != rb:
-        return False
-    stacked = [list(r) for r in a] + [list(r) for r in b]
-    return rank(field, stacked) == ra

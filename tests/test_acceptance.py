@@ -148,7 +148,7 @@ def test_criterion_4_distance_oracles():
 
 def test_criterion_5_identity_suites_for_all_q():
     for q in SWEEP_Q:
-        suites = identity_suites(q, trials=200)
+        suites = identity_suites(q)
         failed = [s.name for s in suites if not s.passed]
         assert not failed, f"q={q}: {failed}"
         by_name = {s.name: s for s in suites}

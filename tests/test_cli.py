@@ -100,6 +100,19 @@ def test_verify_round_trip(tmp_path, capsys):
     assert parsed == additive_coset_code(4, 2, 1).code
 
 
+def test_verify_failing_code_has_no_quantum_parameters(tmp_path, capsys):
+    # the full-length extended code over GF(4) is not self-orthogonal, and
+    # [[N, N-2k, k+1]] would read [[3, -3, 4]]_2
+    code = GRSCode(make_field(2, 1), (0, 1), (1, 1), 3, extended=True)
+    path = tmp_path / "full.json"
+    serialize.save(serialize.code_to_obj(code), str(path))
+    rc, out, _ = run(capsys, ["verify", str(path)])
+    assert rc == 1
+    report = json.loads(out)
+    assert report["passed"] is False
+    assert report["quantum"] is None
+
+
 def test_verify_missing_file_exits_3(capsys):
     rc, _, err = run(capsys, ["verify", "/nonexistent/code.json"])
     assert rc == 3

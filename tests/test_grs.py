@@ -11,19 +11,16 @@ from qmds.grs import (
     as_linear_code,
     dual_basis,
     encode,
-    extended_dual_basis,
     generator_matrix,
     hermitian_dual_contains,
     in_hermitian_dual,
     is_hermitian_self_orthogonal,
     is_mds_by_rank,
     min_distance_bruteforce,
-    nullspace_dual,
     w_vector,
 )
-from qmds.linalg import same_row_space
-from qmds.poly import Poly
 from qmds.linalg import rank
+from qmds.poly import Poly
 
 F4 = make_field(2, 1)
 F9 = make_field(3, 1)
@@ -36,6 +33,30 @@ def random_code(F, rng, extended=False, max_n=7):
     k = rng.randrange(1, n + 1)
     v = tuple(rng.randrange(1, F.order) for _ in range(n))
     return GRSCode(F, points, v, k, extended=extended)
+
+
+def method_dot(F, x, y):
+    """sum_i x_i y_i on the field's methods, not its lookup tables."""
+    acc = 0
+    for a, b in zip(x, y):
+        acc = F.add(acc, F.mul(a, b))
+    return acc
+
+
+def assert_spans_dual(F, generator, basis):
+    """basis spans the Euclidean dual of the row space of generator: each
+    row is orthogonal to each generator row, and the rows are independent
+    and length - k of them."""
+    assert all(method_dot(F, g, d) == 0 for g in generator for d in basis)
+    assert len(basis) == rank(F, basis) == len(generator[0]) - rank(F, generator)
+
+
+def euclidean_dual(code):
+    """Closed-form Euclidean dual of a plain GRS_k(a, v): the unit-multiplier
+    basis with column i divided by v_i, the rows of GRS_{n-k}(a, w/v)."""
+    F = code.field
+    return [[F.div(x, vi) for x, vi in zip(row, code.v)]
+            for row in dual_basis(F, code.a, code.k)]
 
 
 # ----------------------------------------------------------------------
@@ -203,19 +224,18 @@ def test_dual_basis_dimension_and_k_equals_n():
 
 @pytest.mark.parametrize("F", [F4, F9], ids=["F4", "F9"])
 def test_dual_basis_spans_nullspace_dual(F):
+    # the Euclidean dual is the nullspace of the generator
     points = tuple(range(min(6, F.order)))
     n = len(points)
     for k in range(1, n):
         code = GRSCode(F, points, (1,) * n, k)
-        described = dual_basis(F, points, k)
-        computed = nullspace_dual(as_linear_code(code))
-        assert same_row_space(F, described, computed.rows)
+        assert_spans_dual(F, generator_matrix(code), dual_basis(F, points, k))
 
 
 def test_extended_dual_basis_last_coordinates():
     points = tuple(range(5))
     for k in range(1, 6):
-        rows = extended_dual_basis(F9, points, k)
+        rows = dual_basis(F9, points, k, extended=True)
         assert len(rows) == 5 - k + 1
         for j, row in enumerate(rows):
             if j < 5 - k:
@@ -228,42 +248,34 @@ def test_extended_dual_basis_last_coordinates():
 def test_extended_dual_basis_spans_nullspace_dual(F):
     points = tuple(range(min(6, F.order)))
     n = len(points)
-    for k in range(1, n + 1):
+    for k in range(1, n + 2):
         code = GRSCode(F, points, (1,) * n, k, extended=True)
-        described = extended_dual_basis(F, points, k)
-        computed = nullspace_dual(as_linear_code(code))
-        assert same_row_space(F, described, computed.rows)
+        assert_spans_dual(F, generator_matrix(code), dual_basis(F, points, k, extended=True))
 
 
-def test_nullspace_dual_dimensions_and_orthogonality():
-    rng = random.Random(12)
-    for _ in range(20):
-        code = random_code(F9, rng)
-        lc = as_linear_code(code)
-        dual = nullspace_dual(lc)
-        assert dual.k == lc.length - lc.k
-        for g in lc.rows:  # G times the dual basis transposed is zero
-            for h in dual.rows:
-                acc = 0
-                for x, y in zip(g, h):
-                    acc = F9.add(acc, F9.mul(x, y))
-                assert acc == 0
-    full = as_linear_code(GRSCode(F9, tuple(range(4)), (1,) * 4, 4))
-    assert nullspace_dual(full).k == 0
+def test_dual_basis_rejects_k_out_of_range():
+    for k, extended in ((0, False), (6, False), (0, True), (7, True)):
+        with pytest.raises(ValueError, match="out of range"):
+            dual_basis(F9, tuple(range(5)), k, extended)
 
 
 def test_hermitian_dual_is_frobenius_of_euclidean_dual():
+    # u is in the Hermitian dual iff u^(q) is in the Euclidean dual, and
+    # x -> x^q is an involution on GF(q^2)
     rng = random.Random(13)
     for _ in range(20):
         code = random_code(F9, rng)
-        lc = as_linear_code(code)
-        herm = nullspace_dual(lc, hermitian=True)
-        eucl = nullspace_dual(lc)
-        twisted = [[F9.frobenius(x) for x in row] for row in eucl.rows]
-        assert same_row_space(F9, herm.rows, twisted)
-        # definition check: u^(q) . G^T == 0 for every basis vector
-        for u in herm.rows:
-            assert hermitian_dual_contains(lc, u)
+        generator = generator_matrix(code)
+        eucl = euclidean_dual(code)
+        assert_spans_dual(F9, generator, eucl)
+        for row in eucl:
+            u = [F9.frobenius(x) for x in row]
+            assert [F9.pow(x, 3) for x in u] == row
+            assert hermitian_dual_contains(code, u)
+            # v_0 != 0, so changing u_0 breaks the product with generator row 0
+            u[0] = F9.add(u[0], 1)
+            assert method_dot(F9, [F9.pow(x, 3) for x in u], generator[0]) != 0
+            assert not hermitian_dual_contains(code, u)
 
 
 # ----------------------------------------------------------------------
@@ -418,12 +430,20 @@ def test_rank_test_agrees_with_bruteforce():
 
 def test_hermitian_dual_of_mds_code_is_mds():
     rng = random.Random(17)
+    checked = 0
     for _ in range(10):
         code = random_code(F9, rng, max_n=6)
-        dual = nullspace_dual(as_linear_code(code), hermitian=True)
-        if not 1 <= dual.k <= 3:
+        rows = [[F9.frobenius(x) for x in row] for row in euclidean_dual(code)]
+        if not 1 <= len(rows) <= 3:
             continue
+        generator = generator_matrix(code)
+        assert all(method_dot(F9, [F9.pow(x, 3) for x in u], g) == 0
+                   for u in rows for g in generator)
+        dual = LinearCode(F9, rows)
+        assert dual.k == code.n - code.k
         assert min_distance_bruteforce(dual) == dual.length - dual.k + 1
+        checked += 1
+    assert checked
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,10 @@
-"""Differential tests of `linalg` (rref, rank, nullspace, same_row_space)
-and of `grs.hermitian_gram` and `grs.generator_matrix`, which run on the
-field's add/mul lookup tables, against references written here with the
-field's methods only.
+"""Differential tests of `linalg` (rref, rank) and of `grs.row_products`,
+`grs.hermitian_gram` and `grs.generator_matrix`, which run on the field's
+add/mul lookup tables, against references written here with the field's
+methods only.  `rank` and `row_products` are the two halves of the
+identity suites' dual-span check: a closed-form dual basis is accepted
+when it is orthogonal to the generator rows and has full rank
+length - k.
 
 GF(4), GF(9), GF(16), GF(81) and GF(256) have lookup tables; GF(289) is
 past `LOOKUP_TABLE_MAX_ORDER`, where the same loops run on views that call
@@ -20,11 +23,13 @@ from qmds.field import LOOKUP_TABLE_MAX_ORDER, make_field
 from qmds.grs import (
     GRSCode,
     LinearCode,
+    dual_basis,
     generator_matrix,
     hermitian_gram,
     is_hermitian_self_orthogonal,
+    row_products,
 )
-from qmds.linalg import nullspace, rank, rref, same_row_space
+from qmds.linalg import rank, rref
 
 FIELDS = {"GF(4)": (2, 1), "GF(9)": (3, 1), "GF(16)": (2, 2), "GF(81)": (3, 2),
           "GF(256)": (2, 4), "GF(289)": (17, 1)}
@@ -59,28 +64,17 @@ def reference_rref(F, rows):
     return m, pivots
 
 
-def reference_nullspace(F, rows):
-    """The basis with one free column set to 1 per vector, read off the
-    reduced form; the reduced form is unique, and so is this basis."""
-    reduced, pivots = reference_rref(F, rows)
-    ncols = len(rows[0])
-    basis = []
-    for f in (c for c in range(ncols) if c not in pivots):
-        vec = [0] * ncols
-        vec[f] = 1
-        for r, c in enumerate(pivots):
-            vec[c] = F.neg(reduced[r][f])
-        basis.append(vec)
-    return basis
-
-
 def dot(F, x, y):
     return functools.reduce(F.add, (F.mul(a, b) for a, b in zip(x, y)), 0)
 
 
+def reference_products(F, word, rows):
+    return [dot(F, word, r) for r in rows]
+
+
 def reference_gram(F, rows):
     # x**q by powering, not through the Frobenius table
-    return [[dot(F, [F.pow(x, F.q) for x in r], s) for s in rows] for r in rows]
+    return [reference_products(F, [F.pow(x, F.q) for x in r], rows) for r in rows]
 
 
 def reference_generator(code):
@@ -135,21 +129,6 @@ def count(F):
     return 150 if F.order <= LOOKUP_TABLE_MAX_ORDER else 60
 
 
-def row_operations(F, rows, rng):
-    """A generating set of the same row space: rows scaled by units, one
-    added to another, shuffled, with a duplicate and a zero row."""
-    out = [[F.mul(c, x) for x in r] for r, c in
-           zip(rows, (rng.randrange(1, F.order) for _ in rows))]
-    if len(out) >= 2:
-        i, j = rng.sample(range(len(out)), 2)
-        c = rng.randrange(F.order)
-        out[i] = [F.add(x, F.mul(c, y)) for x, y in zip(out[i], out[j])]
-    out.append(list(rng.choice(out)))
-    out.append([0] * len(rows[0]))
-    rng.shuffle(out)
-    return out
-
-
 # ----------------------------------------------------------------------
 # linalg
 # ----------------------------------------------------------------------
@@ -167,31 +146,32 @@ def test_rref_and_rank_match_the_method_reference(name):
     assert len(ranks) == 4
 
 
-@pytest.mark.parametrize("name", FIELDS)
-def test_nullspace_matches_the_method_reference(name):
+@pytest.mark.parametrize("name", ["GF(9)", "GF(256)", "GF(289)"])
+def test_row_products_match_the_method_reference(name):
+    # every matrix row against the other rows, a zero word and a random
+    # word, and closed-form dual rows against their generator; zero
+    # products of nonzero pairs come from the dual rows and nonzero
+    # products from the rest
     F = field(name)
+    rng = random.Random(F.order + 4)
+    products = set()
     for rows in matrices(F, count(F)):
-        basis = nullspace(F, rows)
-        assert basis == reference_nullspace(F, rows), rows
-        assert len(basis) == len(rows[0]) - len(reference_rref(F, rows)[1])
-        assert all(dot(F, r, x) == 0 for r in rows for x in basis)
-    assert nullspace(F, [], width=3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-
-
-@pytest.mark.parametrize("name", FIELDS)
-def test_same_row_space_matches_the_method_reference(name):
-    F = field(name)
-    rng = random.Random(F.order + 1)
-    verdicts = []
-    for rows in matrices(F, count(F)):
-        changed = [list(r) for r in rows]
-        changed[rng.randrange(len(rows))] = [rng.randrange(F.order) for _ in rows[0]]
-        for other in (row_operations(F, rows, rng), changed):
-            ra, rb = (len(reference_rref(F, m)[1]) for m in (rows, other))
-            expected = ra == rb == len(reference_rref(F, rows + other)[1])
-            assert same_row_space(F, rows, other) == expected, (rows, other)
-            verdicts.append(expected)
-    assert all(verdicts[::2]) and not all(verdicts[1::2])
+        width = len(rows[0])
+        words = rows + [[0] * width, [rng.randrange(F.order) for _ in range(width)]]
+        for word in words:
+            expected = reference_products(F, word, rows)
+            assert row_products(F, word, rows) == expected, (word, rows)
+            products.update(bool(x) for x in expected)
+    for _ in range(count(F) // 2):
+        code = random_grs(F, rng)
+        code = GRSCode(F, code.a, (1,) * code.n, code.k, code.extended)
+        generator = reference_generator(code)
+        for word in dual_basis(F, code.a, code.k, code.extended):
+            assert any(word)
+            expected = reference_products(F, word, generator)
+            assert row_products(F, word, generator) == expected == [0] * code.k
+    assert products == {False, True}
+    assert row_products(F, [], [[], []]) == [0, 0] and row_products(F, [1, 2], []) == []
 
 
 # ----------------------------------------------------------------------

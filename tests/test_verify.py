@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import qmds.verify
 from qmds.construct import (
     ConstructionResult,
     ParameterError,
@@ -18,6 +19,7 @@ from qmds.verify import (
     STATUS_EXCLUDED,
     STATUS_OK,
     SweepRow,
+    _suite_dual_spans,
     emit,
     five_one_five_search,
     identity_suites,
@@ -311,7 +313,7 @@ def test_candidates_with_zero_coordinates_are_out_of_scope():
 
 def test_identity_suites_all_pass_for_small_q():
     for q in (2, 3):
-        suites = identity_suites(q, trials=60)
+        suites = identity_suites(q)
         assert all(s.passed for s in suites), [s for s in suites if not s.passed]
         names = {s.name for s in suites}
         assert "dual-span" in names and "multiplicative-coset-products" in names
@@ -321,7 +323,44 @@ def test_identity_suites_all_pass_for_small_q():
 
 def test_identity_suites_exhaustive_dual_span_for_tiny_fields():
     # order <= 9 fields take every point subset; count them for GF(4)
-    suites = identity_suites(2, trials=10)
+    suites = identity_suites(2)
     dual = next(s for s in suites if s.name == "dual-span")
     # n=2: 6 subsets * 1 k; n=3: 4 subsets * 2 k; n=4: 1 subset * 3 k
     assert dual.cases == 6 * 1 + 4 * 2 + 1 * 3
+
+
+def _change_entry(F, rows):
+    # every generator column has a nonzero entry, so some product moves
+    rows[-1][0] = F.add(rows[-1][0], 1)
+
+
+def _copy_row(F, rows):
+    rows[-1] = list(rows[0])
+
+
+def _drop_row(F, rows):
+    rows.pop()
+
+
+@pytest.mark.parametrize("mutate,min_rows", [(_change_entry, 1), (_copy_row, 2), (_drop_row, 1)],
+                         ids=["entry", "copy", "drop"])
+@pytest.mark.parametrize("extended", [False, True], ids=["plain", "extended"])
+@pytest.mark.parametrize("F", [F4, F9], ids=["GF(4)", "GF(9)"])
+def test_dual_span_suite_rejects_one_broken_dual_basis(monkeypatch, F, extended, mutate, min_rows):
+    # the first basis with at least min_rows rows is broken, every other
+    # case is left as it is: a changed entry fails orthogonality, a copied
+    # row the rank, a dropped row the count length - k
+    original = qmds.verify.dual_basis
+    broken = []
+
+    def dual_basis(*args):
+        rows = original(*args)
+        if not broken and len(rows) >= min_rows:
+            mutate(F, rows)
+            broken.append(args)
+        return rows
+
+    monkeypatch.setattr(qmds.verify, "dual_basis", dual_basis)
+    result = _suite_dual_spans(F, extended)
+    assert len(broken) == 1 and result.cases > 1
+    assert result.passed is False
