@@ -18,7 +18,6 @@ stderr.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -181,7 +180,7 @@ def _cmd_check_lemmas(args: argparse.Namespace, bound: int) -> int:
     all_passed = all(s.passed for s in suites)
     obj = {
         "q": args.q,
-        "suites": [s.as_dict() for s in suites],
+        "suites": [s._asdict() for s in suites],
         "all_passed": all_passed,
     }
     serialize.save(obj, sys.stdout)
@@ -190,7 +189,7 @@ def _cmd_check_lemmas(args: argparse.Namespace, bound: int) -> int:
 
 def _cmd_no515() -> int:
     record = five_one_five_search()
-    serialize.save(dataclasses.asdict(record), sys.stdout)
+    serialize.save(record._asdict(), sys.stdout)
     return EXIT_OK if record.confirmed else EXIT_VERIFICATION
 
 

@@ -19,13 +19,13 @@ the code's multipliers.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .field import (
     DEFAULT_ELEMENT_BOUND,
     Element,
     FieldTower,
+    Frozen,
     ParameterError,
     field_for_prime_power,
 )
@@ -47,22 +47,17 @@ class ExcludedParameters(ParameterError):
     special-case multiplier argument degenerates."""
 
 
-@dataclass(frozen=True)
-class QuantumParams:
+class QuantumParams(Frozen):
     """[[n, k, d]]_q parameters; always saturate k = n - 2d + 2."""
 
-    n: int
-    k: int
-    d: int
-    q: int
-    provenance: str
-    degenerate: bool = False
+    __slots__ = ("n", "k", "d", "q", "provenance", "degenerate")
 
-    def __post_init__(self) -> None:
-        if self.k != self.n - 2 * self.d + 2:
-            raise ValueError(
-                f"[[{self.n},{self.k},{self.d}]] violates k = n - 2d + 2"
-            )
+    def __init__(
+        self, n: int, k: int, d: int, q: int, provenance: str, degenerate: bool = False
+    ) -> None:
+        if k != n - 2 * d + 2:
+            raise ValueError(f"[[{n},{k},{d}]] violates k = n - 2d + 2")
+        self._set(n=n, k=k, d=d, q=q, provenance=provenance, degenerate=degenerate)
 
     @classmethod
     def from_classical(cls, N: int, k: int, q: int, provenance: str) -> "QuantumParams":
@@ -74,8 +69,7 @@ class QuantumParams:
         return {"n": self.n, "k": self.k, "d": self.d, "q": self.q}
 
 
-@dataclass(frozen=True)
-class ConstructionResult:
+class ConstructionResult(NamedTuple):
     """A constructed code plus its quantum parameters and the intermediate
     values (witnesses) that determine the multipliers."""
 

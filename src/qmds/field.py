@@ -34,7 +34,6 @@ polynomial kernels in `poly`, over `PrimeField(p)`.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .poly import _power, _product, root_free_monic
@@ -99,14 +98,50 @@ def factor_prime_power(q: int) -> Tuple[int, int]:
     return p, e
 
 
-@dataclass(frozen=True)
-class PrimeField:
+class Frozen:
+    """Base of the validated value types: __init__ checks its arguments and
+    stores them with _set, after which the instance is read-only, and equal
+    to and hashed with the instances of its class that hold equal values.
+    (Dataclasses would cost every command-line call about 20 ms of import.)"""
+
+    __slots__ = ()
+
+    def _set(self, **values: object) -> None:
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"field {name!r} is read-only")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __reduce__(self) -> tuple:  # for copy and pickle, which would assign the slots
+        return type(self), self._values()
+
+    def __eq__(self, other: object) -> bool:
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        values = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({values})"
+
+
+class PrimeField(Frozen):
     """GF(p) on the ints 0..p-1, with just what `root_free_monic` and the
     polynomial kernels in `poly` read to find a tower's modulus and build
     its tables.  Equal and hashed by p, so the search's cache keeps one
     entry per (p, degree)."""
 
-    p: int
+    __slots__ = ("p",)
+
+    def __init__(self, p: int) -> None:
+        self._set(p=p)
 
     @property
     def order(self) -> int:

@@ -28,10 +28,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .field import Element, FieldTower
+from .field import Element, FieldTower, Frozen
 from .linalg import Matrix, rank
 from .poly import Poly, lagrange_interpolate
 
@@ -47,22 +46,20 @@ class CapExceeded(ValueError):
     """An enumeration-based check would exceed its configured cap."""
 
 
-@dataclass(frozen=True)
-class GRSCode:
-    """Evaluation points `a`, column multipliers `v`, dimension `k`.
+class GRSCode(Frozen):
+    """Evaluation points `a`, column multipliers `v` (both kept as tuples),
+    dimension `k`.
 
     Length is n = len(a) when plain, n + 1 when extended.
     """
 
-    field: FieldTower
-    a: Tuple[Element, ...]
-    v: Tuple[Element, ...]
-    k: int
-    extended: bool = False
+    __slots__ = ("field", "a", "v", "k", "extended")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", tuple(self.a))
-        object.__setattr__(self, "v", tuple(self.v))
+    def __init__(
+        self, field: FieldTower, a: Sequence[Element], v: Sequence[Element], k: int,
+        extended: bool = False,
+    ) -> None:
+        self._set(field=field, a=tuple(a), v=tuple(v), k=k, extended=extended)
         n = len(self.a)
         if n == 0:
             raise ValueError("at least one evaluation point is required")
@@ -92,24 +89,20 @@ class GRSCode:
         return self.n + 1 if self.extended else self.n
 
 
-@dataclass(frozen=True)
-class LinearCode:
-    """A linear code given by a full-row-rank generator matrix."""
+class LinearCode(Frozen):
+    """A linear code given by a full-row-rank generator matrix, kept as a
+    tuple of tuples `rows`; `length` defaults to the width of the rows."""
 
-    field: FieldTower
-    rows: Tuple[Tuple[Element, ...], ...]
-    length: int = -1
+    __slots__ = ("field", "rows", "length")
 
-    def __post_init__(self) -> None:
-        rows = tuple(tuple(r) for r in self.rows)
-        object.__setattr__(self, "rows", rows)
+    def __init__(self, field: FieldTower, rows: Sequence[Sequence[Element]], length: int = -1):
+        rows = tuple(tuple(r) for r in rows)
+        self._set(field=field, rows=rows, length=len(rows[0]) if length == -1 and rows else length)
         if rows:
             width = len(rows[0])
             if any(len(r) != width for r in rows):
                 raise ValueError("generator rows must all have the same length")
-            if self.length == -1:
-                object.__setattr__(self, "length", width)
-            elif self.length != width:
+            if self.length != width:
                 raise ValueError("declared length disagrees with the generator rows")
             order = self.field.order
             if not all(type(x) is int and 0 <= x < order for r in rows for x in r):

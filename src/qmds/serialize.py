@@ -7,7 +7,9 @@ JSON integers where int is written and only a JSON boolean for
 "extended"; a float, string or boolean in place of an integer is a
 FormatError, never truncated or coerced.  A construction result
 additionally carries the generator matrix (row-major), the quantum
-parameters, a provenance tag and the multiplier witnesses.
+parameters, a provenance tag and the multiplier witnesses; a code file
+that carries the generator or the quantum parameters must carry the ones
+its code fields give.
 
 The modulus and the generator choice are both deterministic functions of
 (p, e), so a parsed field is checked against the canonical modulus: a
@@ -19,7 +21,7 @@ from __future__ import annotations
 import json
 from typing import IO, Union
 
-from .construct import ConstructionResult
+from .construct import ConstructionResult, QuantumParams
 from .field import DEFAULT_ELEMENT_BOUND, FieldTower, make_field
 from .grs import GRSCode, generator_matrix
 
@@ -106,15 +108,35 @@ def dumps(obj: dict) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
+def _check_shipped(obj: dict, code: GRSCode) -> None:
+    """The generator and quantum keys of a code file are optional, but when
+    present must be exactly what its code fields give."""
+    qp = QuantumParams.from_classical(code.length, code.k, code.field.q, "")
+    for key, expected in (("generator", generator_matrix(code)), ("quantum", qp.as_dict())):
+        if key not in obj:
+            continue
+        shipped = obj[key]
+        if type(shipped) is not type(expected):
+            raise FormatError(f"{key!r} must be a {type(expected).__name__}")
+        if key == "generator":
+            shipped, expected = dict(enumerate(shipped)), dict(enumerate(expected))
+        # compared as JSON text, so that true or 1.0 is not taken for 1
+        for part in [*expected, *(part for part in shipped if part not in expected)]:
+            if json.dumps(shipped.get(part)) != json.dumps(expected.get(part)):
+                raise FormatError(f"{key!r} entry {part!r} is not the one the code fields give")
+
+
 def load_code(path: str, element_bound: int = DEFAULT_ELEMENT_BOUND) -> GRSCode:
-    """Parse a code file; raises FormatError for schema or invariant
-    violations and OSError for filesystem problems."""
+    """Parse and check a code file; raises FormatError for schema or
+    invariant violations and OSError for filesystem problems."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.loads(fh.read())
         except (ValueError, RecursionError) as exc:  # bad UTF-8, JSON or integer literal
             raise FormatError(f"malformed JSON: {exc}") from exc
-    return code_from_obj(obj, element_bound)
+    code = code_from_obj(obj, element_bound)
+    _check_shipped(obj, code)
+    return code
 
 
 def write_payload(payload: str, destination: Union[str, IO[str]]) -> None:

@@ -16,13 +16,11 @@ the function the constructors build them with.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import json
 import random
 import time
-from dataclasses import dataclass
-from typing import IO, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import IO, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .construct import (
     FAMILY_ADDITIVE,
@@ -79,8 +77,7 @@ DUAL_SPAN_MAX_N = 10
 DUAL_SPAN_SAMPLES = 20
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     identity: str
     hermitian_self_orthogonal: bool
     hermitian_witness: Optional[Tuple[int, int, int]]
@@ -190,15 +187,14 @@ def verify_construction(result: ConstructionResult) -> VerificationReport:
     derived = QuantumParams.from_classical(code.length, code.k, code.field.q, qp.provenance)
     v = reconstruct_multipliers(code.field, code.a, qp.provenance, result.witnesses)
     bookkeeping = qp == derived and v == code.v
-    return dataclasses.replace(report, singleton_equality=bookkeeping)
+    return report._replace(singleton_equality=bookkeeping)
 
 
 # ----------------------------------------------------------------------
 # Sweeps
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     """One construction instance: classical [N, K, D] over GF(q^2) and the
     derived quantum [[n, kq, d]]_q, with its verification status."""
 
@@ -228,6 +224,9 @@ def sweep(
     function of the arguments."""
     if family not in FAMILIES:
         raise ParameterError(f"family must be one of {FAMILIES}, got {family!r}")
+    repeated = [q for q in q_list if q_list.count(q) > 1]
+    if repeated:
+        raise ParameterError(f"q={repeated[0]} is listed more than once")
     families = (FAMILY_ADDITIVE, FAMILY_EXTENDED) if family == "both" else (family,)
     rows: List[SweepRow] = []
     for q in q_list:
@@ -272,8 +271,7 @@ def emit(rows: Sequence[SweepRow], fmt: str, destination: Union[str, IO[str]]) -
 # Nonexistence of a Hermitian self-orthogonal [5,1,5] code over GF(4)
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NonexistenceRecord:
+class NonexistenceRecord(NamedTuple):
     confirmed: bool
     candidates_examined: int
 
@@ -304,14 +302,10 @@ def five_one_five_search() -> NonexistenceRecord:
 # Property suites behind the check-lemmas subcommand
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(NamedTuple):
     name: str
     cases: int
     passed: bool
-
-    def as_dict(self) -> dict:
-        return {"name": self.name, "cases": self.cases, "passed": self.passed}
 
 
 def _point_sets(field: FieldTower):

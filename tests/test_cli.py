@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import qmds
 from qmds import serialize
 from qmds.cli import main
 from qmds.field import make_field
@@ -111,6 +115,60 @@ def test_verify_failing_code_has_no_quantum_parameters(tmp_path, capsys):
     report = json.loads(out)
     assert report["passed"] is False
     assert report["quantum"] is None
+
+
+def _constructed_file(tmp_path, capsys, name="code.json"):
+    path = tmp_path / name
+    rc, _, _ = run(capsys, ["construct", "theorem2", "--q", "3", "--t", "2", "--d", "3", "--out", str(path)])
+    assert rc == 0
+    return path, json.loads(path.read_text())
+
+
+def test_verify_rejects_a_tampered_generator_entry(tmp_path, capsys):
+    path, obj = _constructed_file(tmp_path, capsys)
+    obj["generator"][1][4] = (obj["generator"][1][4] + 1) % 9
+    serialize.save(obj, str(path))
+    rc, out, err = run(capsys, ["verify", str(path)])
+    assert (rc, out) == (2, "")
+    assert err == "invalid parameters: 'generator' entry 1 is not the one the code fields give\n"
+    for shipped, named in [(obj["generator"][:1], "entry 1"), ({}, "must be a list")]:
+        obj["generator"] = shipped
+        serialize.save(obj, str(path))
+        rc, out, err = run(capsys, ["verify", str(path)])
+        assert (rc, out) == (2, "")
+        assert f"'generator' {named}" in err
+
+
+@pytest.mark.parametrize(
+    "quantum, key",
+    [
+        ({"n": 10, "k": 4, "d": 4, "q": 3}, "k"),  # still k = n - 2d + 2
+        ({"n": 10, "k": 6, "d": 3, "q": 9}, "q"),
+        ({"n": 10, "k": 6, "d": 3, "q": 3, "extra": 0}, "extra"),
+        ({"n": 10, "k": 6, "d": True, "q": 3}, "d"),
+        ({"n": 10, "k": 6, "q": 3}, "d"),
+    ],
+)
+def test_verify_rejects_wrong_quantum_parameters(tmp_path, capsys, quantum, key):
+    path, obj = _constructed_file(tmp_path, capsys)
+    assert obj["quantum"] == {"n": 10, "k": 6, "d": 3, "q": 3}
+    obj["quantum"] = quantum
+    serialize.save(obj, str(path))
+    rc, out, err = run(capsys, ["verify", str(path)])
+    assert (rc, out) == (2, "")
+    assert err == f"invalid parameters: 'quantum' entry {key!r} is not the one the code fields give\n"
+
+
+def test_verify_of_a_file_without_generator_or_quantum(tmp_path, capsys):
+    (tmp_path / "full").mkdir()
+    (tmp_path / "bare").mkdir()
+    path, obj = _constructed_file(tmp_path, capsys, "full/code.json")
+    del obj["generator"], obj["quantum"]
+    serialize.save(obj, str(tmp_path / "bare" / "code.json"))
+    reports = [run(capsys, ["verify", str(tmp_path / d / "code.json")]) for d in ("full", "bare")]
+    assert reports[0][0] == reports[1][0] == 0
+    assert reports[0][1] == reports[1][1]
+    assert json.loads(reports[1][1])["quantum"] == {"n": 10, "k": 6, "d": 3, "q": 3}
 
 
 def test_verify_missing_file_exits_3(capsys):
@@ -234,6 +292,12 @@ def test_sweep_bad_q_exits_2(capsys):
     assert rc == 2
     rc, _, _ = run(capsys, ["sweep", "--q", ""])
     assert rc == 2
+
+
+def test_sweep_repeated_q_exits_2(capsys):
+    rc, out, err = run(capsys, ["sweep", "--q", "2,3,2"])
+    assert (rc, out) == (2, "")
+    assert err == "invalid parameters: q=2 is listed more than once\n"
 
 
 # ----------------------------------------------------------------------
@@ -396,3 +460,30 @@ def test_internal_error_exits_4(monkeypatch, capsys, exc):
     rc, out, err = run(capsys, ["construct", "theorem1", "--q", "3", "--t", "1", "--k", "1"])
     assert (rc, out) == (4, "")
     assert f"internal error: {type(exc).__name__}: {exc}" in err
+
+
+# ----------------------------------------------------------------------
+# start-up
+# ----------------------------------------------------------------------
+
+STARTUP_PROBE = """
+import sys
+import qmds.cli
+codes = [
+    qmds.cli.main(["sweep", "--q", "2"]),
+    qmds.cli.main(["construct", "theorem2", "--q", "3", "--t", "2", "--d", "2"]),
+]
+print(codes, sorted(m for m in ("dataclasses", "inspect", "ast", "dis") if m in sys.modules))
+"""
+
+
+def test_cli_calls_import_no_dataclasses_or_inspect():
+    # every command is a fresh interpreter, so each of these modules would
+    # add its import time to every call
+    src = os.path.dirname(os.path.dirname(qmds.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", STARTUP_PROBE], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0] []"

@@ -1,0 +1,109 @@
+"""The value types: read-only after construction, equal and hashed by
+value where the program relies on it, and validated on construction."""
+
+import copy
+import pickle
+import re
+
+import pytest
+
+from qmds.construct import ConstructionResult, QuantumParams
+from qmds.field import PrimeField, make_field
+from qmds.grs import GRSCode, LinearCode
+from qmds.verify import NonexistenceRecord, SuiteResult, SweepRow, VerificationReport
+
+F4 = make_field(2, 1)
+
+
+def instances():
+    """One instance of each value type, with the name of one of its fields."""
+    code = GRSCode(F4, (0, 1, 2), (1, 1, 1), 2)
+    qp = QuantumParams(9, 5, 3, 3, "theorem1")
+    return [
+        (PrimeField(5), "p"),
+        (code, "a"),
+        (LinearCode(F4, [[1, 0, 1], [0, 1, 1]]), "rows"),
+        (qp, "k"),
+        (ConstructionResult(code=code, quantum=qp, witnesses={"w": [1, 1, 1]}), "code"),
+        (VerificationReport(
+            identity="code", hermitian_self_orthogonal=True, hermitian_witness=None,
+            distance_method="brute", measured_distance=2, mds=True,
+            singleton_equality=True, elapsed=0.0,
+        ), "mds"),
+        (SweepRow(q=2, t=1, k=1, family="theorem1", N=2, K=1, D=2, n=2, kq=0, d=2, status="ok"),
+         "status"),
+        (NonexistenceRecord(confirmed=True, candidates_examined=81), "confirmed"),
+        (SuiteResult(name="dual-span", cases=1, passed=True), "passed"),
+    ]
+
+
+INSTANCES = instances()
+IDS = [type(obj).__name__ for obj, _ in INSTANCES]
+
+
+@pytest.mark.parametrize("obj, name", INSTANCES, ids=IDS)
+def test_fields_are_read_only(obj, name):
+    before = getattr(obj, name)
+    with pytest.raises(AttributeError):
+        setattr(obj, name, before)
+    with pytest.raises(AttributeError):
+        obj.unknown_field = 1
+    assert getattr(obj, name) is before
+
+
+@pytest.mark.parametrize("obj", [obj for obj, _ in INSTANCES], ids=IDS)
+def test_copies_are_equal(obj):
+    assert copy.copy(obj) == copy.deepcopy(obj) == pickle.loads(pickle.dumps(obj)) == obj
+
+
+@pytest.mark.parametrize(
+    "cls, one, same, other",
+    [
+        (PrimeField, (5,), (5,), (7,)),
+        (GRSCode, (F4, (0, 1, 2), (1, 1, 1), 2), (F4, [0, 1, 2], [1, 1, 1], 2),
+         (F4, (0, 1, 3), (1, 1, 1), 2)),
+        (GRSCode, (F4, (0, 1), (1, 1), 3, True), (F4, [0, 1], (1, 1), 3, True),
+         (F4, (0, 1), (1, 1), 2, True)),
+        (LinearCode, (F4, ((1, 0), (0, 1))), (F4, [[1, 0], [0, 1]], 2), (F4, [[1, 0]])),
+        (QuantumParams, (9, 5, 3, 3, "theorem1"), (9, 5, 3, 3, "theorem1", False),
+         (9, 5, 3, 3, "theorem1", True)),
+    ],
+    ids=["PrimeField", "GRSCode", "GRSCode-extended", "LinearCode", "QuantumParams"],
+)
+def test_equal_values_give_equal_and_equally_hashed_instances(cls, one, same, other):
+    # lists and tuples of the same elements, and defaults given or not, give
+    # the same value
+    assert cls(*one) == cls(*same) and hash(cls(*one)) == hash(cls(*same))
+    assert cls(*one) != cls(*other)
+
+
+def test_defaults():
+    assert GRSCode(F4, (0, 1), (1, 1), 1).extended is False
+    assert LinearCode(F4, [[1, 0, 1]]).length == 3
+    assert LinearCode(F4, [], 4).length == 4
+    assert QuantumParams(9, 5, 3, 3, "theorem1").degenerate is False
+    assert QuantumParams.from_classical(4, 0, 2, "theorem1").degenerate is True
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: GRSCode(F4, (), (), 1), "at least one evaluation point is required"),
+        (lambda: GRSCode(F4, (0, 1), (1,), 1), "multiplier vector length must match the point count"),
+        (lambda: GRSCode(F4, (0, 4), (1, 1), 1), "evaluation point 4 is not a field element"),
+        (lambda: GRSCode(F4, (0, True), (1, 1), 1), "evaluation point True is not a field element"),
+        (lambda: GRSCode(F4, (1, 1), (1, 1), 1), "evaluation points must be distinct"),
+        (lambda: GRSCode(F4, (0, 1), (1, 0), 1), "column multipliers must be nonzero field elements"),
+        (lambda: GRSCode(F4, (0, 1), (1, 1), 3), "dimension k=3 is not an int from 1 to 2"),
+        (lambda: GRSCode(F4, (0, 1), (1, 1), 0, True), "dimension k=0 is not an int from 1 to 3"),
+        (lambda: LinearCode(F4, [[1, 0], [0]]), "generator rows must all have the same length"),
+        (lambda: LinearCode(F4, [[1, 0]], 3), "declared length disagrees with the generator rows"),
+        (lambda: LinearCode(F4, [[1, 4]]), "generator entries must be field elements"),
+        (lambda: LinearCode(F4, [[1, 2], [2, 3]]), "generator matrix must have full row rank"),
+        (lambda: LinearCode(F4, []), "length is required for a zero-dimensional code"),
+        (lambda: QuantumParams(9, 6, 3, 3, "theorem1"), "[[9,6,3]] violates k = n - 2d + 2"),
+    ],
+)
+def test_invalid_values_are_rejected(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()

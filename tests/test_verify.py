@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import json
 import random
@@ -9,6 +8,7 @@ import qmds.verify
 from qmds.construct import (
     ConstructionResult,
     ParameterError,
+    QuantumParams,
     additive_coset_code,
     multiplicative_coset_code,
 )
@@ -123,7 +123,7 @@ def test_verify_detects_a_multiplier_changed_by_a_unit_of_norm_one(build):
     v = list(good.code.v)
     v[0] = F.mul(v[0], theta)
     assert v[0] != good.code.v[0] and F.norm(v[0]) == F.norm(good.code.v[0])
-    code = dataclasses.replace(good.code, v=tuple(v))
+    code = GRSCode(good.code.field, good.code.a, tuple(v), good.code.k, good.code.extended)
     report = verify_construction(ConstructionResult(code, good.quantum, good.witnesses))
     assert report.hermitian_self_orthogonal and report.mds
     assert not report.singleton_equality
@@ -145,7 +145,8 @@ def test_verify_reports_a_w_witness_without_a_norm_solution_as_a_failure():
 
 def test_verify_detects_quantum_parameters_that_do_not_match_the_code():
     good = additive_coset_code(3, 3, 2)
-    wrong = dataclasses.replace(good.quantum, n=11, k=7)  # still k = n - 2d + 2
+    qp = good.quantum
+    wrong = QuantumParams(11, 7, qp.d, qp.q, qp.provenance, qp.degenerate)  # still k = n - 2d + 2
     report = verify_construction(ConstructionResult(good.code, wrong, good.witnesses))
     assert report.hermitian_self_orthogonal and report.mds
     assert not report.passed
