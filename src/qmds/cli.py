@@ -194,8 +194,7 @@ def _cmd_no515() -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         bound = _element_bound(args)
         if args.command == "construct":
@@ -206,9 +205,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _cmd_sweep(args, bound)
         if args.command == "check-lemmas":
             return _cmd_check_lemmas(args, bound)
-        if args.command == "no515":
-            return _cmd_no515()
-        parser.error(f"unknown command {args.command!r}")
+        return _cmd_no515()  # argparse's required subcommands leave only no515
     except ExcludedParameters as exc:
         print(f"excluded parameters: {exc}", file=sys.stderr)
         return EXIT_PARAMS
@@ -224,7 +221,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         traceback.print_exc()
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    return EXIT_PARAMS
 
 
 if __name__ == "__main__":

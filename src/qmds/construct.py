@@ -156,10 +156,9 @@ class AdditiveCosetDesign:
             raise RuntimeError("coset points are not distinct")
         # alpha**q - alpha: every product across two cosets carries it
         self.span: Element = field.sub(field.frobenius(self.alpha), self.alpha)
-        self._span_power = field.pow(self.span, t - 1)
         # prod_{j != i}(a_i - a_j), and so w_i, depends only on the coset
         # of a_i: one product and one inversion per coset, O(t^2 + n) in all
-        scale = field.mul(self.within_coset_product(), self._span_power)
+        scale = field.mul(self.within_coset_product(), field.pow(self.span, t - 1))
         self._coset_products: Tuple[Element, ...] = tuple(
             functools.reduce(field.mul, (field.sub(bs, bj) for bj in self.betas if bj != bs), scale)
             for bs in self.betas
@@ -217,14 +216,6 @@ class AdditiveCosetDesign:
         if not 0 <= i < self.n:
             raise ValueError(f"index {i} out of range")
         return self.weights[i]
-
-    def subfield_unit(self, i: int) -> Element:
-        """w_i * (alpha**q - alpha)**(t-1), which always lands in GF(q)*."""
-        F = self.field
-        u = F.mul(self.w(i), self._span_power)
-        if u == 0 or not F.in_subfield(u):
-            raise RuntimeError("scaled multiplier is not a subfield unit")
-        return u
 
 
 def additive_coset_code(

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .field import Element, FieldTower, Frozen
 from .linalg import Matrix, rank
@@ -160,20 +160,27 @@ def encode(code: GRSCode, f: Poly) -> Tuple[Element, ...]:
     return tuple(word)
 
 
+def product_of_differences(field: FieldTower, x: Element, hs: Iterable[Element]) -> Element:
+    """prod over h in hs of (x - h), multiplied out one factor at a time:
+    the product each closed form for a product of point differences is
+    checked against."""
+    mul, sub = field.mul, field.sub
+    acc: Element = 1
+    for h in hs:
+        acc = mul(acc, sub(x, h))
+    return acc
+
+
 def w_vector(field: FieldTower, points: Sequence[Element]) -> List[Element]:
     """w_i = inverse of prod_{j != i}(a_i - a_j); the multipliers appearing
     in every dual description of a unit-multiplier GRS code."""
-    n = len(points)
-    if len(set(points)) != n:
+    points = tuple(points)
+    if len(set(points)) != len(points):
         raise ValueError("points must be distinct")
-    out = []
-    for i in range(n):
-        acc: Element = 1
-        for j in range(n):
-            if j != i:
-                acc = field.mul(acc, field.sub(points[i], points[j]))
-        out.append(field.inv(acc))
-    return out
+    return [
+        field.inv(product_of_differences(field, a, points[:i] + points[i + 1:]))
+        for i, a in enumerate(points)
+    ]
 
 
 def dual_basis(

@@ -2,8 +2,10 @@
 classical code, parameter sweeps over both families, property suites for
 every closed-form identity the constructions rely on, and the exhaustive
 search showing no Hermitian self-orthogonal [5,1,5] code exists over GF(4).
-The dual-span suites check each closed-form dual basis by orthogonality
-and rank.
+_tally runs and counts every check of a suite, so a false identity is a
+failed suite, never an exception.  The dual-span suites check each
+closed-form dual basis by orthogonality and rank, the product suites each
+closed form against grs.product_of_differences.
 
 Verification policy: the Hermitian check is always exact; minimum distance
 runs a strategy ladder on the code it is given (brute force while the code
@@ -50,6 +52,7 @@ from .grs import (
     is_hermitian_self_orthogonal,
     is_mds_by_rank,
     min_distance_bruteforce,
+    product_of_differences,
     row_products,
     w_vector,
 )
@@ -65,8 +68,6 @@ FAMILIES = (FAMILY_ADDITIVE, FAMILY_EXTENDED, "both")
 STATUS_OK = "ok"
 STATUS_FAIL = "fail"
 STATUS_EXCLUDED = "excluded-by-paper"
-
-CSV_COLUMNS = ("q", "t", "k", "family", "N", "K", "D", "n", "kq", "d", "status")
 
 #: Random codewords per field in each Hermitian-membership suite.
 MEMBERSHIP_TRIALS = 200
@@ -94,18 +95,9 @@ class VerificationReport(NamedTuple):
     def as_dict(self) -> dict:
         # elapsed is deliberately left out: serialized reports must be
         # byte-stable across runs
-        return {
-            "identity": self.identity,
-            "hermitian_self_orthogonal": self.hermitian_self_orthogonal,
-            "hermitian_witness": list(self.hermitian_witness)
-            if self.hermitian_witness
-            else None,
-            "distance_method": self.distance_method,
-            "measured_distance": self.measured_distance,
-            "mds": self.mds,
-            "singleton_equality": self.singleton_equality,
-            "passed": self.passed,
-        }
+        fields = self._asdict()
+        del fields["elapsed"]
+        return {**fields, "passed": self.passed}
 
 
 def distance_ladder(code: Union[GRSCode, LinearCode]) -> Tuple[str, Optional[int], bool]:
@@ -210,8 +202,8 @@ class SweepRow(NamedTuple):
     d: int
     status: str
 
-    def as_dict(self) -> dict:
-        return {c: getattr(self, c) for c in CSV_COLUMNS}
+
+CSV_COLUMNS = SweepRow._fields
 
 
 def sweep(
@@ -250,13 +242,12 @@ def sweep(
 
 def rows_to_csv(rows: Iterable[SweepRow]) -> str:
     lines = [",".join(CSV_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(str(getattr(row, c)) for c in CSV_COLUMNS))
+    lines.extend(",".join(map(str, row)) for row in rows)
     return "\n".join(lines) + "\n"
 
 
 def rows_to_json(rows: Iterable[SweepRow]) -> str:
-    return json.dumps([row.as_dict() for row in rows], indent=2) + "\n"
+    return json.dumps([row._asdict() for row in rows], indent=2) + "\n"
 
 
 def emit(rows: Sequence[SweepRow], fmt: str, destination: Union[str, IO[str]]) -> None:
@@ -308,6 +299,12 @@ class SuiteResult(NamedTuple):
     passed: bool
 
 
+def _tally(name: str, checks: Iterable[bool]) -> SuiteResult:
+    """Run every check, even after one fails, and count them."""
+    results = list(checks)
+    return SuiteResult(name, len(results), all(results))
+
+
 def _point_sets(field: FieldTower):
     """Point sets for the dual-span suites: exhaustive subsets when the
     field is small enough, otherwise canonical prefixes plus a seeded
@@ -334,103 +331,88 @@ def _suite_dual_spans(field: FieldTower, extended: bool) -> SuiteResult:
     Euclidean dual: every row of D is orthogonal to every generator row,
     rank(D) == len(D), and len(D) == length - k.  The generator's rank is
     k because the LinearCode it builds checks full row rank."""
-    cases = 0
-    passed = True
-    for points in _point_sets(field):
-        n = len(points)
-        for k in range(1, n + 1 if extended else n):
-            code = as_linear_code(GRSCode(field, points, (1,) * n, k, extended=extended))
-            described = dual_basis(field, points, k, extended)
-            cases += 1
-            spans = (
-                not any(any(row_products(field, d, code.rows)) for d in described)
-                and len(described) == code.length - code.k == rank(field, described)
-            )
-            if not spans:
-                passed = False
-    name = "extended-dual-span" if extended else "dual-span"
-    return SuiteResult(name, cases, passed)
+
+    def spans(points: Tuple[int, ...], k: int) -> bool:
+        code = as_linear_code(GRSCode(field, points, (1,) * len(points), k, extended=extended))
+        described = dual_basis(field, points, k, extended)
+        return (
+            not any(any(row_products(field, d, code.rows)) for d in described)
+            and len(described) == code.length - code.k == rank(field, described)
+        )
+
+    checks = (
+        spans(points, k)
+        for points in _point_sets(field)
+        for k in range(1, len(points) + 1 if extended else len(points))
+    )
+    return _tally("extended-dual-span" if extended else "dual-span", checks)
 
 
 def _suite_membership(field: FieldTower, extended: bool) -> SuiteResult:
     rng = random.Random(field.order * 2 + int(extended))
-    passed = True
-    for _ in range(MEMBERSHIP_TRIALS):
+
+    def agrees() -> bool:
         n = rng.randrange(2, min(8, field.order) + 1)
         points = tuple(rng.sample(range(field.order), n))
         k = rng.randrange(1, n + 1)
         v = tuple(rng.randrange(1, field.order) for _ in range(n))
         code = GRSCode(field, points, v, k, extended=extended)
         f = Poly(field, [rng.randrange(field.order) for _ in range(k)])
-        criterion = in_hermitian_dual(code, f)
-        direct = hermitian_dual_contains(code, encode(code, f))
-        if criterion != direct:
-            passed = False
+        return in_hermitian_dual(code, f) == hermitian_dual_contains(code, encode(code, f))
+
     name = "extended-hermitian-membership" if extended else "hermitian-membership"
-    return SuiteResult(name, MEMBERSHIP_TRIALS, passed)
+    return _tally(name, (agrees() for _ in range(MEMBERSHIP_TRIALS)))
 
 
 def _suite_additive_products(field: FieldTower) -> SuiteResult:
-    q = field.q
+    """Each AdditiveCosetDesign closed form against the product it names;
+    per point, w_i against w_vector and the multipliers' norm equations
+    solvable (reconstruct_multipliers returns None otherwise)."""
     sub = field.subfield_elements()
-    cases = 0
-    passed = True
-    for t in sorted({t for t, _, _ in grid(q, FAMILY_ADDITIVE)}):
+    checks: List[bool] = []
+    for t in sorted({t for t, _, _ in grid(field.q, FAMILY_ADDITIVE)}):
         design = AdditiveCosetDesign(field, t)
+        cosets = [design.coset_elements(s) for s in range(t)]
+        checks += (
+            product_of_differences(field, field.mul(tau, design.alpha), sub)
+            == design.full_span_product(tau)
+            for tau in sub
+        )
+        checks += (
+            product_of_differences(field, b, (h for h in coset if h != b))
+            == design.within_coset_product()
+            for coset in cosets
+            for b in coset
+        )
+        checks += (
+            product_of_differences(field, b, other) == design.cross_coset_product(s, j)
+            for s, coset in enumerate(cosets)
+            for j, other in enumerate(cosets)
+            if j != s
+            for b in coset
+        )
         brute_w = w_vector(field, design.points)
-        for tau in sub:
-            acc = 1
-            for h in sub:
-                acc = field.mul(acc, field.sub(field.mul(tau, design.alpha), h))
-            cases += 1
-            if acc != design.full_span_product(tau):
-                passed = False
-        for s in range(t):
-            coset = design.coset_elements(s)
-            for b in coset:
-                acc = 1
-                for h in coset:
-                    if h != b:
-                        acc = field.mul(acc, field.sub(b, h))
-                cases += 1
-                if acc != design.within_coset_product():
-                    passed = False
-            for j in range(t):
-                if j == s:
-                    continue
-                other = design.coset_elements(j)
-                for b in coset:
-                    acc = 1
-                    for h in other:
-                        acc = field.mul(acc, field.sub(b, h))
-                    cases += 1
-                    if acc != design.cross_coset_product(s, j):
-                        passed = False
-        for i in range(design.n):
-            cases += 1
-            unit = design.subfield_unit(i)
-            if brute_w[i] != design.w(i) or unit == 0 or not field.in_subfield(unit):
-                passed = False
-    return SuiteResult("additive-coset-products", cases, passed)
+        v = reconstruct_multipliers(field, design.points, PROVENANCE_ADDITIVE, {"w": brute_w})
+        checks += (w == design.w(i) and v is not None for i, w in enumerate(brute_w))
+    return _tally("additive-coset-products", checks)
 
 
 def _suite_multiplicative_products(field: FieldTower) -> SuiteResult:
-    q = field.q
-    cases = 0
-    passed = True
-    for t in sorted({t for t, _, _ in grid(q, FAMILY_EXTENDED)}):
+    """Per point of each MultiplicativeCosetDesign: the closed-form
+    difference product is the inverse of w_vector's w_i and lies in GF(q),
+    and gamma_i solves gamma_i**(q+1) == -w_i."""
+    checks: List[bool] = []
+    for t in sorted({t for t, _, _ in grid(field.q, FAMILY_EXTENDED)}):
         design = MultiplicativeCosetDesign(field, t)
-        gamma = design.gamma()
-        brute_w = w_vector(field, design.points)
-        for i in range(design.n):
+        try:
+            gamma = design.gamma()
+        except ValueError:  # some -w_i is not a norm: no gamma_i can pass
+            gamma = (0,) * design.n
+        for i, w in enumerate(w_vector(field, design.points)):
             closed = design.difference_product(i)
-            cases += 1
-            if brute_w[i] != field.inv(closed) or not field.in_subfield(closed):
-                passed = False
-            cases += 1
-            if gamma[i] == 0 or field.norm(gamma[i]) != field.neg(design.w(i)):
-                passed = False
-    return SuiteResult("multiplicative-coset-products", cases, passed)
+            checks.append(field.mul(w, closed) == 1 and field.in_subfield(closed))
+            checks.append(gamma[i] != 0 and field.norm(gamma[i]) == field.neg(design.w(i)))
+    return _tally("multiplicative-coset-products", checks)
 
 
 def _suite_unity_root_factorization(field: FieldTower) -> SuiteResult:
@@ -439,42 +421,28 @@ def _suite_unity_root_factorization(field: FieldTower) -> SuiteResult:
     prod = Poly.one(field)
     for l in range(q + 1):
         prod = prod * Poly(field, (field.neg(field.pow(theta, l)), 1))
-    target_coeffs = [field.neg(1)] + [0] * q + [1]
-    target = Poly(field, target_coeffs)
-    return SuiteResult("unity-root-factorization", 1, prod == target)
+    target = Poly(field, [field.neg(1)] + [0] * q + [1])
+    return _tally("unity-root-factorization", [prod == target])
 
 
 def _suite_unity_root_cofactors(field: FieldTower) -> SuiteResult:
+    """prod_{l != m}(theta**m - theta**l) == theta**(q*m) for each m."""
     q = field.q
     theta = field.root_of_unity(q + 1)
-    cases = 0
-    passed = True
-    for m in range(q + 1):
-        acc = 1
-        for l in range(q + 1):
-            if l != m:
-                acc = field.mul(
-                    acc, field.sub(field.pow(theta, m), field.pow(theta, l))
-                )
-        cases += 1
-        if acc != field.pow(theta, q * m):
-            passed = False
-    return SuiteResult("unity-root-cofactors", cases, passed)
+    roots = [field.pow(theta, l) for l in range(q + 1)]
+    checks = (
+        product_of_differences(field, r, (h for h in roots if h != r)) == field.pow(theta, q * m)
+        for m, r in enumerate(roots)
+    )
+    return _tally("unity-root-cofactors", checks)
 
 
 def _suite_root_free(field: FieldTower) -> SuiteResult:
-    cases = 0
-    passed = True
-    for degree in (2, 3):
-        m = root_free_monic(field, degree)
-        cases += 1
-        if not (
-            m.is_monic()
-            and m.degree == degree
-            and all(m(x) != 0 for x in field.elements())
-        ):
-            passed = False
-    return SuiteResult("root-free-polynomials", cases, passed)
+    def root_free(m: Poly, degree: int) -> bool:
+        return m.is_monic() and m.degree == degree and all(m(x) != 0 for x in field.elements())
+
+    checks = (root_free(root_free_monic(field, degree), degree) for degree in (2, 3))
+    return _tally("root-free-polynomials", checks)
 
 
 def _suite_special_multiplier(field: FieldTower) -> SuiteResult:
@@ -488,18 +456,15 @@ def _suite_special_multiplier(field: FieldTower) -> SuiteResult:
     m = special_scaling_poly(field)
     two = field.from_int(2)
     pi_trace = field.add(pi, field.frobenius(pi))
-    cases = 0
-    passed = True
-    for a in field.elements():
-        lhs = field.norm(m(a))
+
+    def expands(a: int) -> bool:
         rhs = field.add(field.mul(a, a), field.pow(a, 2 * q))
         rhs = field.add(rhs, field.mul(two, field.norm(a)))
         rhs = field.sub(rhs, field.mul(pi_trace, field.add(field.frobenius(a), a)))
         rhs = field.add(rhs, field.norm(pi))
-        cases += 1
-        if lhs != rhs:
-            passed = False
-    return SuiteResult("special-multiplier-expansion", cases, passed)
+        return field.norm(m(a)) == rhs
+
+    return _tally("special-multiplier-expansion", (expands(a) for a in field.elements()))
 
 
 def identity_suites(q: int, element_bound: int = DEFAULT_ELEMENT_BOUND) -> List[SuiteResult]:

@@ -146,9 +146,29 @@ def test_criterion_4_distance_oracles():
     )
 
 
+# Suite names in report order, and each suite's case count per q; odd q
+# adds the special-multiplier suite.
+SUITE_NAMES = (
+    "dual-span", "extended-dual-span", "hermitian-membership",
+    "extended-hermitian-membership", "additive-coset-products",
+    "multiplicative-coset-products", "unity-root-factorization",
+    "unity-root-cofactors", "root-free-polynomials", "special-multiplier-expansion",
+)
+SUITE_CASES = {
+    2: (17, 28, 200, 200, 20, 8, 1, 3, 2),
+    3: (1793, 2295, 200, 200, 69, 28, 1, 4, 2, 9),
+    4: (942, 1129, 200, 200, 176, 66, 1, 5, 2),
+    5: (944, 1132, 200, 200, 375, 128, 1, 6, 2, 25),
+    7: (945, 1134, 200, 200, 1225, 348, 1, 8, 2, 49),
+    8: (945, 1134, 200, 200, 1984, 518, 1, 9, 2),
+    9: (945, 1134, 200, 200, 3051, 736, 1, 10, 2, 81),
+}
+
+
 def test_criterion_5_identity_suites_for_all_q():
     for q in SWEEP_Q:
         suites = identity_suites(q)
+        assert [(s.name, s.cases) for s in suites] == list(zip(SUITE_NAMES, SUITE_CASES[q]))
         failed = [s.name for s in suites if not s.passed]
         assert not failed, f"q={q}: {failed}"
         by_name = {s.name: s for s in suites}

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ import time
 import pytest
 
 import qmds
+import qmds.verify
 from qmds import serialize
 from qmds.cli import main
 from qmds.field import make_field
@@ -322,6 +324,8 @@ def test_check_lemmas(capsys):
         "root-free-polynomials",
     } <= names
     assert all(s["passed"] for s in obj["suites"])
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "1009b17307d9b5e8ba876885e280d61d4ae0b22eec586bf42ae1fe2a87f6fc12")
 
 
 def test_check_lemmas_odd_q_has_special_suite(capsys):
@@ -329,6 +333,24 @@ def test_check_lemmas_odd_q_has_special_suite(capsys):
     assert rc == 0
     obj = json.loads(out)
     assert any(s["name"] == "special-multiplier-expansion" for s in obj["suites"])
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "a17f0180440d0f6cd606ffb260527efcdda656021b3176e22ec3ff5d2cec349a")
+
+
+def test_check_lemmas_reports_a_broken_identity_with_exit_1(capsys, monkeypatch):
+    # weights moved out of GF(q) leave -w_i with no norm-equation solution
+    class Scaled(qmds.verify.MultiplicativeCosetDesign):
+        def __init__(self, field, t):
+            super().__init__(field, t)
+            self.weights = tuple(field.mul(w, field.generator) for w in self.weights)
+
+    monkeypatch.setattr(qmds.verify, "MultiplicativeCosetDesign", Scaled)
+    rc, out, err = run(capsys, ["check-lemmas", "--q", "2"])
+    assert (rc, err) == (1, "")
+    assert '"all_passed": false' in out
+    suites = {s["name"]: s for s in json.loads(out)["suites"]}
+    assert suites["multiplicative-coset-products"] == {
+        "name": "multiplicative-coset-products", "cases": 8, "passed": False}
 
 
 def test_no515(capsys):

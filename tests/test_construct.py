@@ -5,6 +5,7 @@ import pytest
 from qmds.construct import (
     FAMILY_ADDITIVE,
     FAMILY_EXTENDED,
+    PROVENANCE_ADDITIVE,
     AdditiveCosetDesign,
     ExcludedParameters,
     MultiplicativeCosetDesign,
@@ -116,8 +117,9 @@ def test_additive_difference_products_and_subfield_units(q):
             assert design.difference_product(i) == brute_difference_product(
                 F, design.points, i
             )
-            unit = design.subfield_unit(i)
-            assert unit != 0 and F.in_subfield(unit)
+        # None when some w_i * (alpha**q - alpha)**(t-1) is not a unit of GF(q)
+        v = reconstruct_multipliers(F, design.points, PROVENANCE_ADDITIVE, {"w": list(design.weights)})
+        assert v is not None
 
 
 def test_additive_single_coset_reduces_to_sign():

@@ -6,7 +6,9 @@ import pytest
 
 import qmds.verify
 from qmds.construct import (
+    AdditiveCosetDesign,
     ConstructionResult,
+    MultiplicativeCosetDesign,
     ParameterError,
     QuantumParams,
     additive_coset_code,
@@ -19,7 +21,10 @@ from qmds.verify import (
     STATUS_EXCLUDED,
     STATUS_OK,
     SweepRow,
+    _suite_additive_products,
     _suite_dual_spans,
+    _suite_multiplicative_products,
+    _suite_unity_root_cofactors,
     emit,
     five_one_five_search,
     identity_suites,
@@ -280,7 +285,8 @@ def test_emission_is_byte_identical_across_runs():
 
 def test_sweep_row_dict_key_order():
     row = sweep([2], "theorem1")[0]
-    assert tuple(row.as_dict()) == CSV_COLUMNS
+    assert CSV_COLUMNS == ("q", "t", "k", "family", "N", "K", "D", "n", "kq", "d", "status")
+    assert tuple(row._asdict()) == CSV_COLUMNS
 
 
 # ----------------------------------------------------------------------
@@ -365,3 +371,55 @@ def test_dual_span_suite_rejects_one_broken_dual_basis(monkeypatch, F, extended,
     result = _suite_dual_spans(F, extended)
     assert len(broken) == 1 and result.cases > 1
     assert result.passed is False
+
+
+# Negative controls: each breaks one closed form or one weight and expects
+# the suite to report the failure over its usual cases, never to raise.
+
+def _scale_weights(monkeypatch, design_cls, by_point=False):
+    """Multiply every weight of design_cls by the field generator, which is
+    outside GF(q), and with by_point also every w_vector weight."""
+
+    class Scaled(design_cls):
+        def __init__(self, field, t):
+            super().__init__(field, t)
+            self.weights = tuple(field.mul(w, field.generator) for w in self.weights)
+
+    monkeypatch.setattr(qmds.verify, design_cls.__name__, Scaled)
+    if by_point:
+        original = qmds.verify.w_vector
+        monkeypatch.setattr(qmds.verify, "w_vector", lambda field, points: [
+            field.mul(w, field.generator) for w in original(field, points)])
+
+
+def test_additive_suite_reports_a_broken_cross_coset_product(monkeypatch):
+    original = AdditiveCosetDesign.cross_coset_product
+    monkeypatch.setattr(AdditiveCosetDesign, "cross_coset_product",
+                        lambda self, s, j: F9.add(original(self, s, j), (s, j) == (0, 1)))
+    assert _suite_additive_products(F9) == ("additive-coset-products", 69, False)
+
+
+def test_additive_suite_reports_weights_whose_units_leave_the_subfield(monkeypatch):
+    # closed form and brute force agree, so only the unit check can fail
+    _scale_weights(monkeypatch, AdditiveCosetDesign, by_point=True)
+    assert _suite_additive_products(F9) == ("additive-coset-products", 69, False)
+
+
+def test_multiplicative_suite_reports_a_broken_difference_product(monkeypatch):
+    # negated, the product stays a unit of GF(q), so only its w_i check fails
+    original = MultiplicativeCosetDesign.difference_product
+    monkeypatch.setattr(MultiplicativeCosetDesign, "difference_product",
+                        lambda self, i: F9.neg(original(self, i)) if i == 0 else original(self, i))
+    assert _suite_multiplicative_products(F9) == ("multiplicative-coset-products", 28, False)
+
+
+def test_multiplicative_suite_reports_weights_with_no_gamma(monkeypatch):
+    # -w_i outside GF(q) is no norm, so design.gamma() has no solution
+    _scale_weights(monkeypatch, MultiplicativeCosetDesign)
+    assert _suite_multiplicative_products(F9) == ("multiplicative-coset-products", 28, False)
+
+
+def test_cofactor_suite_reports_a_root_of_the_wrong_order(monkeypatch):
+    # the generator of GF(9)* has order 8, not q + 1 = 4
+    monkeypatch.setattr(type(F9), "root_of_unity", lambda self, order: self.generator)
+    assert _suite_unity_root_cofactors(F9) == ("unity-root-cofactors", 4, False)
