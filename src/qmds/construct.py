@@ -8,17 +8,21 @@ evaluates on t multiplicative cosets of the order-(q+1) subgroup plus the
 zero point, extends the code by one coordinate (length t(q+1)+2), and
 scales by a root-free polynomial times norm-equation solutions.
 
-Every closed-form product here has a brute-force counterpart in the test
-suite.  Each constructor records the witnesses (w, and for family two m
-and gamma) and builds the multipliers from them with
-reconstruct_multipliers, the one place the multiplier formulas are
-written; the verifier runs the same function and compares its output with
-the code's multipliers.
+Each point design keeps its weights w_i in `weights`, the inverses of its
+`difference_product` closed forms; family one builds those from
+`within_coset_product` and `cross_coset_product`.  `qmds check-lemmas`
+checks these same methods against brute-force products.  Each
+constructor records the witnesses (w, and for family two m and gamma),
+builds the multipliers from them with reconstruct_multipliers, the one
+place the multiplier formulas are written, and takes its provenance tag
+from provenance_of; verify_construction re-runs the first and `qmds
+verify` checks a file's tag with the second.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .field import (
@@ -50,20 +54,23 @@ class ExcludedParameters(ParameterError):
 class QuantumParams(Frozen):
     """[[n, k, d]]_q parameters; always saturate k = n - 2d + 2."""
 
-    __slots__ = ("n", "k", "d", "q", "provenance", "degenerate")
+    __slots__ = ("n", "k", "d", "q", "provenance")
 
-    def __init__(
-        self, n: int, k: int, d: int, q: int, provenance: str, degenerate: bool = False
-    ) -> None:
+    def __init__(self, n: int, k: int, d: int, q: int, provenance: str) -> None:
         if k != n - 2 * d + 2:
             raise ValueError(f"[[{n},{k},{d}]] violates k = n - 2d + 2")
-        self._set(n=n, k=k, d=d, q=q, provenance=provenance, degenerate=degenerate)
+        self._set(n=n, k=k, d=d, q=q, provenance=provenance)
+
+    @property
+    def degenerate(self) -> bool:
+        """Distance 1: the [[N, N, 1]] of a zero-dimensional classical code."""
+        return self.d == 1
 
     @classmethod
     def from_classical(cls, N: int, k: int, q: int, provenance: str) -> "QuantumParams":
         """[[N, N-2k, k+1]]_q from a Hermitian self-orthogonal classical
         [N, k] MDS code over GF(q^2); k = 0 gives the degenerate [[N, N, 1]]."""
-        return cls(n=N, k=N - 2 * k, d=k + 1, q=q, provenance=provenance, degenerate=(k == 0))
+        return cls(n=N, k=N - 2 * k, d=k + 1, q=q, provenance=provenance)
 
     def as_dict(self) -> dict:
         return {"n": self.n, "k": self.k, "d": self.d, "q": self.q}
@@ -108,12 +115,8 @@ def check_admissible(
     family's grid, and ExcludedParameters on its excluded corner.  Returns
     the admissible k of t, each mapped to whether it is excluded.  grid
     runs in ascending t, so the scan stops at the first row past t."""
-    ks: Dict[int, bool] = {}
-    for t2, k2, excluded in grid(q, family):
-        if t2 > t:
-            break
-        if t2 == t:
-            ks[k2] = excluded
+    rows = itertools.takewhile(lambda row: row[0] <= t, grid(q, family))
+    ks = {k2: excluded for t2, k2, excluded in rows if t2 == t}
     if not ks:
         raise ParameterError(f"t={t} out of range for {family} with q={q}")
     if k is None:
@@ -126,6 +129,14 @@ def check_admissible(
             "in even characteristic with t = k = q-1 (quantum distance q)"
         )
     return ks
+
+
+def provenance_of(q: int, t: int, k: int, extended: bool) -> str:
+    """The provenance token of the construction with these parameters: the
+    extended family's corner (t, k) = (q-1, q-1) has its own multiplier."""
+    if not extended:
+        return PROVENANCE_ADDITIVE
+    return PROVENANCE_EXTENDED_SPECIAL if (t, k) == (q - 1, q - 1) else PROVENANCE_EXTENDED
 
 
 # ----------------------------------------------------------------------
@@ -158,10 +169,13 @@ class AdditiveCosetDesign:
         self.span: Element = field.sub(field.frobenius(self.alpha), self.alpha)
         # prod_{j != i}(a_i - a_j), and so w_i, depends only on the coset
         # of a_i: one product and one inversion per coset, O(t^2 + n) in all
-        scale = field.mul(self.within_coset_product(), field.pow(self.span, t - 1))
         self._coset_products: Tuple[Element, ...] = tuple(
-            functools.reduce(field.mul, (field.sub(bs, bj) for bj in self.betas if bj != bs), scale)
-            for bs in self.betas
+            functools.reduce(
+                field.mul,
+                (self.cross_coset_product(s, j) for j in range(t) if j != s),
+                self.within_coset_product(),
+            )
+            for s in range(t)
         )
         #: (w_1, ..., w_n): w_i is the inverse of difference_product(i)
         self.weights: Tuple[Element, ...] = tuple(
@@ -171,9 +185,6 @@ class AdditiveCosetDesign:
     @property
     def n(self) -> int:
         return self.t * self.field.q
-
-    def coset_of(self, i: int) -> int:
-        return i // self.field.q
 
     def coset_elements(self, s: int) -> Tuple[Element, ...]:
         q = self.field.q
@@ -210,12 +221,7 @@ class AdditiveCosetDesign:
         prod_{j != s}(beta_s - beta_j)."""
         if not 0 <= i < self.n:
             raise ValueError(f"index {i} out of range")
-        return self._coset_products[self.coset_of(i)]
-
-    def w(self, i: int) -> Element:
-        if not 0 <= i < self.n:
-            raise ValueError(f"index {i} out of range")
-        return self.weights[i]
+        return self._coset_products[i // self.field.q]
 
 
 def additive_coset_code(
@@ -281,40 +287,18 @@ class MultiplicativeCosetDesign:
     def n(self) -> int:
         return self.t * (self.field.q + 1) + 1
 
-    def coset_of(self, i: int) -> int:
-        if i == self.n - 1:
-            raise ValueError("the zero point belongs to no coset")
-        return i // (self.field.q + 1)
-
-    # -- closed forms ------------------------------------------------------
-
-    def zero_difference_product(self) -> Element:
-        """Closed form of prod_{i < n-1}(0 - a_i):
-        (-1)**(n-1+qt) * prod_s beta_s**(q+1); always in GF(q)."""
-        F = self.field
-        q = self.field.q
-        acc = F.pow(F.neg(1), self.n - 1 + q * self.t)
-        for beta in self.betas:
-            acc = F.mul(acc, F.norm(beta))
-        return acc
-
-    def nonzero_difference_product(self, i: int) -> Element:
-        """Closed form of prod_{j != i}(a_i - a_j) for a nonzero point:
-        a_i**(q+1) * prod_{s != r}(beta_r**(q+1) - beta_s**(q+1)); in GF(q)."""
-        if not 0 <= i < self.n - 1:
-            raise ValueError(f"index {i} is not a nonzero point")
-        F = self.field
-        return F.mul(F.norm(self.points[i]), self._coset_products[self.coset_of(i)])
-
     def difference_product(self, i: int) -> Element:
-        if i == self.n - 1:
-            return self.zero_difference_product()
-        return self.nonzero_difference_product(i)
-
-    def w(self, i: int) -> Element:
+        """Closed form of prod_{j != i}(a_i - a_j), always in GF(q).  At
+        the zero point (i = n-1) it is (-1)**(n-1+qt) * prod_s beta_s**(q+1);
+        at a_i in coset r it is
+        a_i**(q+1) * prod_{s != r}(beta_r**(q+1) - beta_s**(q+1))."""
         if not 0 <= i < self.n:
             raise ValueError(f"index {i} out of range")
-        return self.weights[i]
+        F = self.field
+        if i == self.n - 1:
+            sign = F.pow(F.neg(1), self.n - 1 + F.q * self.t)
+            return functools.reduce(F.mul, map(F.norm, self.betas), sign)
+        return F.mul(F.norm(self.points[i]), self._coset_products[i // (F.q + 1)])
 
     def gamma(self) -> Tuple[Element, ...]:
         """Norm-equation solutions gamma_i with gamma_i**(q+1) == -w_i."""
@@ -343,16 +327,14 @@ def select_scaling_poly(design: MultiplicativeCosetDesign, k: int) -> Poly:
     check_admissible(q, FAMILY_EXTENDED, t, k)
     ell = t + 1 - k
     if (t, k) == (q - 1, q - 1):
-        m = special_scaling_poly(F)
-    elif ell == 0:
-        m = Poly.one(F)
-    elif ell == 1:
+        return special_scaling_poly(F)
+    if ell == 0:
+        return Poly.one(F)
+    if ell == 1:
         used = set(design.points)
         spare = next(x for x in F.elements() if x not in used)
-        m = Poly(F, (F.neg(spare), 1))
-    else:
-        m = root_free_monic(F, ell)
-    return m
+        return Poly(F, (F.neg(spare), 1))
+    return root_free_monic(F, ell)
 
 
 def multiplicative_coset_code(
@@ -363,11 +345,9 @@ def multiplicative_coset_code(
     [[t(q+1)+2, t(q+1)-2k+2, k+1]]_q parameters, for (t, k) on the
     extended family's grid."""
     field = field_for_prime_power(q, element_bound)
-    check_admissible(q, FAMILY_EXTENDED, t, k)
     design = MultiplicativeCosetDesign(field, t)
     m = select_scaling_poly(design, k)
-    special = (t, k) == (q - 1, q - 1)
-    provenance = PROVENANCE_EXTENDED_SPECIAL if special else PROVENANCE_EXTENDED
+    provenance = provenance_of(q, t, k, extended=True)
     witnesses = {
         "w": list(design.weights),
         "m_coeffs": list(m.coeffs),

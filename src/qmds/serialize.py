@@ -8,8 +8,8 @@ JSON integers where int is written and only a JSON boolean for
 FormatError, never truncated or coerced.  A construction result
 additionally carries the generator matrix (row-major), the quantum
 parameters, a provenance tag and the multiplier witnesses; a code file
-that carries the generator or the quantum parameters must carry the ones
-its code fields give.
+that carries the generator, the quantum parameters or the provenance tag
+must carry the ones its code fields give.
 
 The modulus and the generator choice are both deterministic functions of
 (p, e), so a parsed field is checked against the canonical modulus: a
@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from typing import IO, Union
 
-from .construct import ConstructionResult, QuantumParams
+from .construct import ConstructionResult, QuantumParams, provenance_of
 from .field import DEFAULT_ELEMENT_BOUND, FieldTower, make_field
 from .grs import GRSCode, generator_matrix
 
@@ -109,9 +109,11 @@ def dumps(obj: dict) -> str:
 
 
 def _check_shipped(obj: dict, code: GRSCode) -> None:
-    """The generator and quantum keys of a code file are optional, but when
-    present must be exactly what its code fields give."""
-    qp = QuantumParams.from_classical(code.length, code.k, code.field.q, "")
+    """The generator, quantum and provenance keys of a code file are
+    optional, but when present must be exactly what its code fields give;
+    an extended code of length N comes from t = (N-2)/(q+1) cosets."""
+    q = code.field.q
+    qp = QuantumParams.from_classical(code.length, code.k, q, "")
     for key, expected in (("generator", generator_matrix(code)), ("quantum", qp.as_dict())):
         if key not in obj:
             continue
@@ -124,6 +126,9 @@ def _check_shipped(obj: dict, code: GRSCode) -> None:
         for part in [*expected, *(part for part in shipped if part not in expected)]:
             if json.dumps(shipped.get(part)) != json.dumps(expected.get(part)):
                 raise FormatError(f"{key!r} entry {part!r} is not the one the code fields give")
+    provenance = provenance_of(q, (code.length - 2) / (q + 1), code.k, code.extended)
+    if obj.get("provenance", provenance) != provenance:
+        raise FormatError(f"'provenance' is not {provenance!r}, the one the code fields give")
 
 
 def load_code(path: str, element_bound: int = DEFAULT_ELEMENT_BOUND) -> GRSCode:

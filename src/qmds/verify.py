@@ -393,7 +393,7 @@ def _suite_additive_products(field: FieldTower) -> SuiteResult:
         )
         brute_w = w_vector(field, design.points)
         v = reconstruct_multipliers(field, design.points, PROVENANCE_ADDITIVE, {"w": brute_w})
-        checks += (w == design.w(i) and v is not None for i, w in enumerate(brute_w))
+        checks += (w == design.weights[i] and v is not None for i, w in enumerate(brute_w))
     return _tally("additive-coset-products", checks)
 
 
@@ -411,7 +411,7 @@ def _suite_multiplicative_products(field: FieldTower) -> SuiteResult:
         for i, w in enumerate(w_vector(field, design.points)):
             closed = design.difference_product(i)
             checks.append(field.mul(w, closed) == 1 and field.in_subfield(closed))
-            checks.append(gamma[i] != 0 and field.norm(gamma[i]) == field.neg(design.w(i)))
+            checks.append(gamma[i] != 0 and field.norm(gamma[i]) == field.neg(design.weights[i]))
     return _tally("multiplicative-coset-products", checks)
 
 

@@ -161,6 +161,34 @@ def test_verify_rejects_wrong_quantum_parameters(tmp_path, capsys, quantum, key)
     assert err == f"invalid parameters: 'quantum' entry {key!r} is not the one the code fields give\n"
 
 
+@pytest.mark.parametrize(
+    "argv, provenance",
+    [
+        (["theorem1", "--q", "3", "--t", "3", "--k", "2"], "theorem1"),
+        (["theorem2", "--q", "5", "--t", "3", "--d", "3"], "prop1-general"),
+        (["theorem2", "--q", "5", "--t", "4", "--d", "5"], "prop1-special"),  # odd q, t = k = q-1
+    ],
+)
+def test_verify_checks_the_provenance_tag(tmp_path, capsys, argv, provenance):
+    path = tmp_path / "code.json"
+    assert run(capsys, ["construct", *argv, "--out", str(path)])[0] == 0
+    obj = json.loads(path.read_text())
+    assert obj["provenance"] == provenance
+    assert run(capsys, ["verify", str(path)])[0] == 0
+    for wrong in ("theorem1", "prop1-general", "prop1-special", "theorem2", "", None, 1):
+        if wrong == provenance:
+            continue
+        obj["provenance"] = wrong
+        serialize.save(obj, str(path))
+        rc, out, err = run(capsys, ["verify", str(path)])
+        assert (rc, out) == (2, "")
+        assert err == (f"invalid parameters: 'provenance' is not {provenance!r}, "
+                       "the one the code fields give\n")
+    del obj["provenance"]  # the key is optional
+    serialize.save(obj, str(path))
+    assert run(capsys, ["verify", str(path)])[0] == 0
+
+
 def test_verify_of_a_file_without_generator_or_quantum(tmp_path, capsys):
     (tmp_path / "full").mkdir()
     (tmp_path / "bare").mkdir()

@@ -272,7 +272,7 @@ def test_multiplicative_zero_product_example():
     acc = 1
     for x in design.points[:-1]:
         acc = F.mul(acc, F.sub(0, x))
-    assert design.zero_difference_product() == acc == F.from_int(2)
+    assert design.difference_product(design.n - 1) == acc == F.from_int(2)
 
 
 @pytest.mark.parametrize("q", SWEEP_Q)
@@ -286,11 +286,28 @@ def test_multiplicative_difference_products(q):
             assert F.in_subfield(closed)
 
 
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_multiplicative_difference_product_at_the_zero_point_and_out_of_range(q):
+    F = field_for_prime_power(q)
+    for t in range(1, q):
+        design = MultiplicativeCosetDesign(F, t)
+        zero = design.n - 1
+        # (-1)**(n-1+qt) * prod_s beta_s**(q+1)
+        closed = F.pow(F.neg(1), zero + q * t)
+        for beta in design.betas:
+            closed = F.mul(closed, F.norm(beta))
+        assert design.points[zero] == 0
+        assert design.difference_product(zero) == closed
+        for i in (-1, design.n, design.n + 1):
+            with pytest.raises(ValueError, match="out of range"):
+                design.difference_product(i)
+
+
 def test_multiplicative_single_coset_product_is_a_norm():
     F = make_field(3, 1)
     design = MultiplicativeCosetDesign(F, 1)
     for i in range(design.n - 1):
-        assert design.nonzero_difference_product(i) == F.norm(design.points[i])
+        assert design.difference_product(i) == F.norm(design.points[i])
 
 
 @pytest.mark.parametrize("q", SWEEP_Q)
@@ -302,7 +319,7 @@ def test_gamma_solves_the_norm_equation(q):
         assert gamma == design.gamma()  # deterministic
         for i, g in enumerate(gamma):
             assert g != 0
-            assert F.norm(g) == F.neg(design.w(i))
+            assert F.norm(g) == F.neg(design.weights[i])
 
 
 # ----------------------------------------------------------------------

@@ -65,8 +65,8 @@ def test_copies_are_equal(obj):
         (GRSCode, (F4, (0, 1), (1, 1), 3, True), (F4, [0, 1], (1, 1), 3, True),
          (F4, (0, 1), (1, 1), 2, True)),
         (LinearCode, (F4, ((1, 0), (0, 1))), (F4, [[1, 0], [0, 1]], 2), (F4, [[1, 0]])),
-        (QuantumParams, (9, 5, 3, 3, "theorem1"), (9, 5, 3, 3, "theorem1", False),
-         (9, 5, 3, 3, "theorem1", True)),
+        (QuantumParams, (9, 5, 3, 3, "theorem1"), [9, 5, 3, 3, "theorem1"],
+         (9, 7, 2, 3, "theorem1")),
     ],
     ids=["PrimeField", "GRSCode", "GRSCode-extended", "LinearCode", "QuantumParams"],
 )
@@ -83,6 +83,18 @@ def test_defaults():
     assert LinearCode(F4, [], 4).length == 4
     assert QuantumParams(9, 5, 3, 3, "theorem1").degenerate is False
     assert QuantumParams.from_classical(4, 0, 2, "theorem1").degenerate is True
+
+
+def test_quantum_params_read_degenerate_from_the_distance():
+    # degenerate follows d, so no argument may set it
+    with pytest.raises(TypeError):
+        QuantumParams(9, 5, 3, 3, "theorem1", True)
+    qp = QuantumParams.from_classical(6, 0, 3, "theorem1")
+    assert (qp.d, qp.degenerate) == (1, True)
+    assert QuantumParams(6, 6, 1, 3, "theorem1") == qp
+    assert "degenerate" not in repr(qp)  # a property, not a stored field
+    with pytest.raises(AttributeError):
+        qp.degenerate = False
 
 
 @pytest.mark.parametrize(

@@ -151,7 +151,7 @@ def test_verify_reports_a_w_witness_without_a_norm_solution_as_a_failure():
 def test_verify_detects_quantum_parameters_that_do_not_match_the_code():
     good = additive_coset_code(3, 3, 2)
     qp = good.quantum
-    wrong = QuantumParams(11, 7, qp.d, qp.q, qp.provenance, qp.degenerate)  # still k = n - 2d + 2
+    wrong = QuantumParams(11, 7, qp.d, qp.q, qp.provenance)  # still k = n - 2d + 2
     report = verify_construction(ConstructionResult(good.code, wrong, good.witnesses))
     assert report.hermitian_self_orthogonal and report.mds
     assert not report.passed
