@@ -22,7 +22,8 @@ irreducibility test steps x**(Q**i) mod f by one matrix-vector product
 each, through the matrix of the GF(Q)-linear map h -> h**Q mod f.  Once
 its failed tests have cost about as much as sieving, the search sieves
 out the candidates with an irreducible quadratic factor, one superblock
-of Q**2 candidates at a time.  At degree 4 and 5 a root-free candidate the sieve leaves is
+of Q**2 candidates at a time, and at degree 6 also the products of two
+cubics.  Up to degree 6 a root-free candidate the sieve leaves is
 irreducible; above, its test starts at factor degree 3.  Over a tower of
 odd order the search also drops a candidate whose discriminant's
 quadratic character proves it reducible, by Stickelberger's parity
@@ -507,6 +508,43 @@ def _quadratic_factor_marks(
     return marks
 
 
+def _cubic_pair_marks(F: FieldTower | PrimeField, high: Sequence[Element]) -> bytearray:
+    """`_quadratic_factor_marks` for the sextics that are a product of two
+    monic cubics x**3 + a_2 x**2 + a_1 x + a_0 and x**3 + b_2 x**2 + b_1 x
+    + b_0; `high` is c_2, ..., c_5, 1.
+
+    Matching coefficients from the top, each (a_2, a_1) fixes b_2 = c_5 -
+    a_2, b_1 = c_4 - a_1 - a_2 b_2 and a_0 + b_0 = K = c_3 - a_2 b_1 - a_1
+    b_2.  The x**2 coefficient then reads a_0 (b_2 - a_2) == R = c_2 - a_2 K
+    - a_1 b_1: a_0 is unique when b_2 != a_2, and when b_2 == a_2 it is any
+    element if R == 0 and none otherwise.  Each solution marks (c_1, c_0) =
+    (a_1 b_0 + a_0 b_1, a_0 b_0), O(Q**2) steps per superblock in all."""
+    Q = F.order
+    add, mul = F.op_tables
+    neg = mul[F.neg(1)]  # neg[c] == -c
+    c2, c3, c4, c5 = high[:4]
+    elems = F.elements()
+    marks = bytearray((Q * Q + 7) // 8)
+    for a2 in elems:
+        b2 = add[c5][neg[a2]]
+        minus_a2, minus_b2 = mul[neg[a2]], mul[neg[b2]]
+        e4 = add[c4][minus_a2[b2]]  # b_1 == e4 - a_1
+        gap = add[b2][neg[a2]]
+        over_gap = mul[F.inv(gap)] if gap else None
+        for a1 in elems:
+            b1 = add[e4][neg[a1]]
+            K = add[add[c3][minus_a2[b1]]][minus_b2[a1]]
+            times_a1 = mul[a1]
+            R = add[add[c2][minus_a2[K]]][neg[times_a1[b1]]]
+            if over_gap is None and R:
+                continue  # a_0 * 0 == R has no solution
+            for a0 in elems if over_gap is None else (over_gap[R],):
+                b0 = add[K][neg[a0]]
+                i = add[times_a1[b0]][mul[a0][b1]] * Q + mul[a0][b0]
+                marks[i >> 3] |= 1 << (i & 7)
+    return marks
+
+
 #: Largest field order the search sieves over: a superblock's marks take
 #: Q**2 / 8 bytes, 2 MB at Q = 4096 and 32 MB at Q = 16384.
 SIEVE_MAX_ORDER = 4096
@@ -544,8 +582,11 @@ def root_free_monic(field: FieldTower | PrimeField, degree: int) -> Poly:
     sieves: each superblock of Q**2 candidates that share c_2..c_(l-1)
     gets `_quadratic_factor_marks`, recomputed per superblock rather than
     kept, so memory stays level, and a marked candidate is skipped.  At
-    degree 4 or 5 an unmarked root-free candidate is irreducible; above,
-    it still goes to the test, from factor degree 3 on.
+    degree 6 the superblock also gets `_cubic_pair_marks`: a root-free
+    sextic has no linear factor, so it splits as 2+2+2, 2+4 or 3+3, and
+    the two sets of marks see all three.  Up to degree 6 an unmarked
+    root-free candidate is irreducible; above, it still goes to the test,
+    from factor degree 3 on.
 
     Over a tower of odd order, a candidate goes to the test only if its
     discriminant is nonzero with the quadratic character
@@ -580,10 +621,12 @@ def root_free_monic(field: FieldTower | PrimeField, degree: int) -> Poly:
             if upper[1:] != high:
                 high = upper[1:]
                 marks = _quadratic_factor_marks(F, high)
+                if degree == 6:
+                    marks = bytearray(map(operator.or_, marks, _cubic_pair_marks(F, high)))
             i = upper[0] * Q + c0
             if marks[i >> 3] >> (i & 7) & 1:
                 continue
-            if degree <= 5:
+            if degree <= 6:
                 return Poly(F, [c0] + upper)
             least = 3
         coeffs = [c0] + upper

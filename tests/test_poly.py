@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 import math
@@ -9,6 +10,7 @@ from qmds import poly
 from qmds.field import PrimeField, field_for_prime_power, make_field
 from qmds.poly import (
     Poly,
+    _cubic_pair_marks,
     _discriminant_parity,
     _power,
     _product,
@@ -430,6 +432,64 @@ def test_quadratic_factor_marks_match_trial_division(F, degree, count):
         assert bits == reference_quadratic_factor_marks(F, high), high
 
 
+def reference_cubic_pair_marks(F, high):
+    """The set of (c1, c0) with g + c1 x + c0 a product of two monic cubics,
+    by multiplying out every pair whose x**2 coefficients add up to c_5."""
+    add = F.op_tables[0]
+    by_top = collections.defaultdict(list)
+    for s in monic_polys(F, 3):
+        by_top[s.coeff(2)].append(s)
+    found = set()
+    for r in monic_polys(F, 3):
+        for s in by_top[add[high[3]][F.neg(r.coeff(2))]]:
+            f = (r * s).coeffs
+            if f[2:] == tuple(high):
+                found.add((f[1], f[0]))
+    return found
+
+
+@pytest.mark.parametrize("F,count", [
+    (F4, 6), (F9, 3), (PrimeField(2), 16), (PrimeField(3), 81),
+], ids=["F4", "F9", "GF2", "GF3"])
+def test_cubic_pair_marks_match_products_of_cubics(F, count):
+    # superblock_highs starts with c_2..c_5 all 0, where b_2 == a_2 for
+    # every a_2 in characteristic 2 and a_0 is free or absent, and ends
+    # with them all Q - 1, where c_5 != 0
+    rng = random.Random(F.order + 6)
+    highs = superblock_highs(F, 6, count, rng)
+    assert highs[0][3] == 0 and highs[-1][3] != 0
+    for high in highs:
+        marks = _cubic_pair_marks(F, high)
+        got = {divmod(i, F.order) for i in range(F.order ** 2) if marks[i >> 3] >> (i & 7) & 1}
+        expected = reference_cubic_pair_marks(F, high)
+        assert expected and got == expected, high
+
+
+def test_the_pinned_sextic_is_unmarked_in_its_own_superblock():
+    # negative control: the (8, 6) answer is irreducible, so neither sieve
+    # marks it, while its superblock holds marked candidates of both kinds
+    F = field_for_prime_power(8)
+    c0, c1, *high = PINNED_SCALING_POLYS[8, 6]
+    i = c1 * F.order + c0
+    for marks in (_quadratic_factor_marks(F, high), _cubic_pair_marks(F, high)):
+        assert not marks[i >> 3] >> (i & 7) & 1
+        assert any(marks)
+
+
+def sextics(F):
+    """Every monic sextic in the search's enumeration order, lazily:
+    `monic_polys` would hold all Q**6 of them."""
+    for coeffs in itertools.product(range(F.order), repeat=6):
+        yield Poly(F, coeffs[::-1] + (1,))
+
+
+@pytest.mark.parametrize("F", [F16, F64, PrimeField(2), PrimeField(3), PrimeField(5)],
+                         ids=["F16", "F64", "GF2", "GF3", "GF5"])
+def test_root_free_monic_sextic_is_the_first_irreducible_of_a_full_scan(F):
+    first = next(f for f in sextics(F) if is_irreducible(f))
+    assert root_free_monic.__wrapped__(F, 6) == first
+
+
 @functools.lru_cache(maxsize=None)
 def factorizations(F, top):
     """{f: its monic irreducible factors, with multiplicity} for every monic
@@ -525,16 +585,18 @@ def test_discriminant_parity_on_random_products(F):
 # the answer, and at (13, 5) the first one.  The sieve starts after
 # Q**2 // 64 failed tests: 1,024 at Q = 256, 102 at Q = 81, 64 at Q = 64.
 # Testing every root-free candidate up to the answer would take 16,449
-# calls at (16, 4), 1,089 at (8, 4).  At (8, 6) the reducible root-free
-# candidates before the answer are all products of two cubics, which the
-# sieve cannot see, so all 1,387 are still tested.
+# calls at (16, 4), 1,089 at (8, 4) and 1,387 at (8, 6).  At degree 6 the
+# sieve also marks the products of two cubics, the one way left for a
+# root-free sextic to split once its quadratic factors are marked, so the
+# (8, 6) search returns the first unmarked candidate after its 64 failed
+# tests without testing it.
 IRREDUCIBILITY_TESTS = {
     (16, 4): (1024, 0),
     (8, 4): (64, 0),
     (13, 5): (1, 0),
     (7, 5): (1, 0),
     (9, 6): (1, 0),
-    (8, 6): (64, 1323),
+    (8, 6): (64, 0),
 }
 
 
