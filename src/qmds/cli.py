@@ -148,7 +148,7 @@ def _cmd_verify(args: argparse.Namespace, bound: int) -> int:
     code = serialize.load_code(args.file, bound)
     report = verify_code(code, identity=os.path.basename(args.file))
     obj = report.as_dict()
-    qp = QuantumParams.from_classical(code.length, code.k, code.field.q, args.file)
+    qp = QuantumParams.from_classical(code.length, code.k, code.field.q)
     # [[N, N-2k, k+1]] holds only on the premises the report checks
     obj["quantum"] = qp.as_dict() if report.passed else None
     serialize.save(obj, sys.stdout)

@@ -12,11 +12,13 @@ Each point design keeps its weights w_i in `weights`, the inverses of its
 `difference_product` closed forms; family one builds those from
 `within_coset_product` and `cross_coset_product`.  `qmds check-lemmas`
 checks these same methods against brute-force products.  Each
-constructor records the witnesses (w, and for family two m and gamma),
+constructor records the witnesses (w, and for family two m and gamma) and
 builds the multipliers from them with reconstruct_multipliers, the one
-place the multiplier formulas are written, and takes its provenance tag
-from provenance_of; verify_construction re-runs the first and `qmds
-verify` checks a file's tag with the second.
+place the multiplier formulas are written; verify_construction re-runs it.
+A ConstructionResult keeps only the code and its witnesses: the
+provenance tag and t come from the code through design_of, the quantum
+parameters through QuantumParams.from_classical, and provenance_of is the
+one place the special corner (t, k) = (q-1, q-1) is named.
 """
 
 from __future__ import annotations
@@ -54,12 +56,12 @@ class ExcludedParameters(ParameterError):
 class QuantumParams(Frozen):
     """[[n, k, d]]_q parameters; always saturate k = n - 2d + 2."""
 
-    __slots__ = ("n", "k", "d", "q", "provenance")
+    __slots__ = ("n", "k", "d", "q")
 
-    def __init__(self, n: int, k: int, d: int, q: int, provenance: str) -> None:
+    def __init__(self, n: int, k: int, d: int, q: int) -> None:
         if k != n - 2 * d + 2:
             raise ValueError(f"[[{n},{k},{d}]] violates k = n - 2d + 2")
-        self._set(n=n, k=k, d=d, q=q, provenance=provenance)
+        self._set(n=n, k=k, d=d, q=q)
 
     @property
     def degenerate(self) -> bool:
@@ -67,22 +69,25 @@ class QuantumParams(Frozen):
         return self.d == 1
 
     @classmethod
-    def from_classical(cls, N: int, k: int, q: int, provenance: str) -> "QuantumParams":
+    def from_classical(cls, N: int, k: int, q: int) -> "QuantumParams":
         """[[N, N-2k, k+1]]_q from a Hermitian self-orthogonal classical
         [N, k] MDS code over GF(q^2); k = 0 gives the degenerate [[N, N, 1]]."""
-        return cls(n=N, k=N - 2 * k, d=k + 1, q=q, provenance=provenance)
+        return cls(n=N, k=N - 2 * k, d=k + 1, q=q)
 
     def as_dict(self) -> dict:
         return {"n": self.n, "k": self.k, "d": self.d, "q": self.q}
 
 
 class ConstructionResult(NamedTuple):
-    """A constructed code plus its quantum parameters and the intermediate
-    values (witnesses) that determine the multipliers."""
+    """A constructed code plus the intermediate values (witnesses) that
+    determine its multipliers."""
 
     code: GRSCode
-    quantum: QuantumParams
     witnesses: Dict[str, List[Element]]
+
+    @property
+    def quantum(self) -> QuantumParams:
+        return QuantumParams.from_classical(self.code.length, self.code.k, self.code.field.q)
 
 
 def dimension_bound(q: int, t: int) -> int:
@@ -103,7 +108,8 @@ def grid(q: int, family: str) -> Iterator[Tuple[int, int, bool]]:
     elif family == FAMILY_EXTENDED:
         for t in range(1, q):
             for k in range(1, t + 2):
-                yield t, k, q % 2 == 0 and (t, k) == (q - 1, q - 1)
+                special = provenance_of(q, t, k, extended=True) == PROVENANCE_EXTENDED_SPECIAL
+                yield t, k, q % 2 == 0 and special
     else:
         raise ParameterError(f"unknown family {family!r}")
 
@@ -137,6 +143,22 @@ def provenance_of(q: int, t: int, k: int, extended: bool) -> str:
     if not extended:
         return PROVENANCE_ADDITIVE
     return PROVENANCE_EXTENDED_SPECIAL if (t, k) == (q - 1, q - 1) else PROVENANCE_EXTENDED
+
+
+def coset_count(q: int, n: int, extended: bool) -> int:
+    """t for n evaluation points: t additive cosets of q points, or t
+    multiplicative cosets of q+1 points and the zero point.  A remainder
+    is dropped."""
+    return (n - 1) // (q + 1) if extended else n // q
+
+
+def design_of(code: GRSCode) -> Tuple[int, str]:
+    """(t, provenance) of a code: theorem 1 for a plain code, Proposition 1
+    for an extended one.  An extended length N with N-2 no multiple of q+1
+    rounds t down below q-1, as N <= q^2 + 1, so it gets the general case."""
+    q = code.field.q
+    t = coset_count(q, code.n, code.extended)
+    return t, provenance_of(q, t, code.k, code.extended)
 
 
 # ----------------------------------------------------------------------
@@ -237,9 +259,7 @@ def additive_coset_code(
     v = reconstruct_multipliers(field, design.points, PROVENANCE_ADDITIVE, witnesses)
     if v is None:
         raise RuntimeError("scaled multiplier is not a subfield unit")
-    code = GRSCode(field, design.points, v, k)
-    quantum = QuantumParams.from_classical(code.length, k, q, PROVENANCE_ADDITIVE)
-    return ConstructionResult(code=code, quantum=quantum, witnesses=witnesses)
+    return ConstructionResult(code=GRSCode(field, design.points, v, k), witnesses=witnesses)
 
 
 # ----------------------------------------------------------------------
@@ -326,7 +346,7 @@ def select_scaling_poly(design: MultiplicativeCosetDesign, k: int) -> Poly:
     q, t = F.q, design.t
     check_admissible(q, FAMILY_EXTENDED, t, k)
     ell = t + 1 - k
-    if (t, k) == (q - 1, q - 1):
+    if provenance_of(q, t, k, extended=True) == PROVENANCE_EXTENDED_SPECIAL:
         return special_scaling_poly(F)
     if ell == 0:
         return Poly.one(F)
@@ -357,8 +377,7 @@ def multiplicative_coset_code(
     if not all(v):
         raise RuntimeError("scaling polynomial vanishes at an evaluation point")
     code = GRSCode(field, design.points, v, k, extended=True)
-    quantum = QuantumParams.from_classical(code.length, k, q, provenance)
-    return ConstructionResult(code=code, quantum=quantum, witnesses=witnesses)
+    return ConstructionResult(code=code, witnesses=witnesses)
 
 
 def quantum_params_for_distance(
@@ -393,7 +412,7 @@ def reconstruct_multipliers(
     special corner (t, k) = (q-1, q-1)."""
     F = field
     if provenance == PROVENANCE_ADDITIVE:
-        t = len(points) // F.q
+        t = coset_count(F.q, len(points), extended=False)
         span = F.sub(F.frobenius(F.generator), F.generator)
         scale = F.pow(span, t - 1)
         norms = [F.mul(wi, scale) for wi in witnesses["w"]]

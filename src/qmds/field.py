@@ -184,9 +184,6 @@ class FieldTower:
         generator: canonical encoding of the primitive element (always 2).
     """
 
-    zero: Element = 0
-    one: Element = 1
-
     def __init__(self, p: int, e: int):
         if not is_prime(p):
             raise ValueError(f"p must be prime, got {p}")
@@ -332,9 +329,6 @@ class FieldTower:
         if x == 0:
             raise ZeroDivisionError("zero has no multiplicative inverse")
         return 1 + (1 - x) % (self.order - 1)
-
-    def div(self, x: Element, y: Element) -> Element:
-        return self.mul(x, self.inv(y))
 
     def pow(self, x: Element, m: int) -> Element:
         """x**m with the evaluation convention 0**0 == 1."""

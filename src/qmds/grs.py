@@ -32,13 +32,13 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .field import Element, FieldTower, Frozen
 from .linalg import Matrix, rank
-from .poly import Poly, lagrange_interpolate
+from .poly import Poly, check_elements, lagrange_interpolate
 
-#: Default cap on the number of codewords enumerated by the brute-force
-#: distance check.
+#: Cap on the number of codewords enumerated by the brute-force distance
+#: check.
 BRUTE_FORCE_CAP = 10 ** 6
 
-#: Default cap on the number of column subsets examined by the rank test.
+#: Cap on the number of column subsets examined by the rank test.
 RANK_TEST_CAP = 10 ** 5
 
 
@@ -175,6 +175,7 @@ def w_vector(field: FieldTower, points: Sequence[Element]) -> List[Element]:
     """w_i = inverse of prod_{j != i}(a_i - a_j); the multipliers appearing
     in every dual description of a unit-multiplier GRS code."""
     points = tuple(points)
+    check_elements(field, points, "point")
     if len(set(points)) != len(points):
         raise ValueError("points must be distinct")
     return [
@@ -253,6 +254,8 @@ def is_hermitian_self_orthogonal(code) -> Tuple[bool, Optional[Tuple[int, int, E
 
 def hermitian_dual_contains(code, word: Sequence[Element]) -> bool:
     """Direct membership of a word in the Hermitian dual: word^(q) G^T == 0."""
+    if len(word) != code.length:
+        raise ValueError(f"word of length {len(word)} for a code of length {code.length}")
     F = code.field
     wq = [F.frobenius(x) for x in word]
     return not any(row_products(F, wq, generator_rows(code)))
@@ -285,7 +288,7 @@ def in_hermitian_dual(code: GRSCode, f: Poly) -> bool:
     return g.coeff(n - code.k) == F.neg(F.frobenius(f.coeff(code.k - 1)))
 
 
-def min_distance_bruteforce(code, cap: int = BRUTE_FORCE_CAP) -> int:
+def min_distance_bruteforce(code) -> int:
     """Minimum Hamming weight over all nonzero codewords.
 
     Enumerates one representative per scalar class: the highest nonzero
@@ -310,9 +313,9 @@ def min_distance_bruteforce(code, cap: int = BRUTE_FORCE_CAP) -> int:
     order = F.order
     if k == 0:
         raise ValueError("the zero code has no nonzero codewords")
-    if order ** k > cap:
+    if order ** k > BRUTE_FORCE_CAP:
         raise CapExceeded(
-            f"{order ** k} codewords exceed the enumeration cap {cap}"
+            f"{order ** k} codewords exceed the enumeration cap {BRUTE_FORCE_CAP}"
         )
     rows = generator_rows(code)
     add, mul = F.op_tables
@@ -346,7 +349,7 @@ def min_distance_bruteforce(code, cap: int = BRUTE_FORCE_CAP) -> int:
     return best
 
 
-def is_mds_by_rank(code, cap: int = RANK_TEST_CAP) -> bool:
+def is_mds_by_rank(code) -> bool:
     """MDS test via the standard equivalence: distance N-k+1 iff every
     k-column submatrix of the generator is nonsingular.
 
@@ -369,8 +372,8 @@ def is_mds_by_rank(code, cap: int = RANK_TEST_CAP) -> bool:
     if k == 0:
         raise ValueError("the zero code has no distance")
     n_subsets = math.comb(code.length, k)
-    if n_subsets > cap:
-        raise CapExceeded(f"{n_subsets} column subsets exceed the cap {cap}")
+    if n_subsets > RANK_TEST_CAP:
+        raise CapExceeded(f"{n_subsets} column subsets exceed the cap {RANK_TEST_CAP}")
     rows = generator_rows(code)
     add, mul = F.op_tables
 

@@ -48,16 +48,21 @@ if TYPE_CHECKING:
     from .field import Element, FieldTower, PrimeField
 
 
+def check_elements(field: FieldTower | PrimeField, xs: Iterable[Element], what: str) -> None:
+    """Raise ValueError unless every x is an element encoding of the field."""
+    # type(x) is int, not isinstance: a bool is an int subclass, and
+    # neither a bool nor a float is an element encoding
+    for x in xs:
+        if type(x) is not int or not 0 <= x < field.order:
+            raise ValueError(f"{what} {x!r} is not an element of {field!r}")
+
+
 class Poly:
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field: FieldTower, coeffs: Iterable[Element] = ()):
         cs = list(coeffs)
-        # type(c) is int, not isinstance: a bool is an int subclass, and
-        # neither a bool nor a float is an element encoding
-        for c in cs:
-            if type(c) is not int or not 0 <= c < field.order:
-                raise ValueError(f"coefficient {c!r} is not an element of {field!r}")
+        check_elements(field, cs, "coefficient")
         while cs and cs[-1] == 0:
             cs.pop()
         self.field = field
@@ -72,18 +77,6 @@ class Poly:
     @classmethod
     def one(cls, field: FieldTower) -> "Poly":
         return cls(field, (1,))
-
-    @classmethod
-    def x(cls, field: FieldTower) -> "Poly":
-        return cls(field, (0, 1))
-
-    @classmethod
-    def constant(cls, field: FieldTower, c: Element) -> "Poly":
-        return cls(field, (c,))
-
-    @classmethod
-    def monomial(cls, field: FieldTower, degree: int, c: Element = 1) -> "Poly":
-        return cls(field, (0,) * degree + (c,))
 
     # -- structure --------------------------------------------------------
 
@@ -648,6 +641,8 @@ def lagrange_interpolate(
     n = len(points)
     if n == 0:
         raise ValueError("at least one interpolation point is required")
+    check_elements(field, points, "interpolation point")
+    check_elements(field, values, "value")
     if len(set(points)) != n:
         raise ValueError("interpolation points must be distinct")
     F = field

@@ -21,17 +21,13 @@ from __future__ import annotations
 import json
 from typing import IO, Union
 
-from .construct import ConstructionResult, QuantumParams, provenance_of
+from .construct import ConstructionResult, QuantumParams, design_of
 from .field import DEFAULT_ELEMENT_BOUND, FieldTower, make_field
 from .grs import GRSCode, generator_matrix
 
 
 class FormatError(ValueError):
     """A file or object does not match the expected schema."""
-
-
-def field_to_obj(field: FieldTower) -> dict:
-    return field.as_dict()
 
 
 def _int(obj: dict, key: str) -> int:
@@ -69,7 +65,7 @@ def field_from_obj(obj: dict, element_bound: int = DEFAULT_ELEMENT_BOUND) -> Fie
 
 def code_to_obj(code: GRSCode) -> dict:
     return {
-        "field": field_to_obj(code.field),
+        "field": code.field.as_dict(),
         "a": list(code.a),
         "v": list(code.v),
         "k": code.k,
@@ -97,9 +93,8 @@ def code_from_obj(obj: dict, element_bound: int = DEFAULT_ELEMENT_BOUND) -> GRSC
 def result_to_obj(result: ConstructionResult) -> dict:
     obj = code_to_obj(result.code)
     obj["generator"] = [list(r) for r in generator_matrix(result.code)]
-    qp = result.quantum
-    obj["quantum"] = qp.as_dict()
-    obj["provenance"] = qp.provenance
+    obj["quantum"] = result.quantum.as_dict()
+    obj["provenance"] = design_of(result.code)[1]
     obj["witnesses"] = {key: list(val) for key, val in result.witnesses.items()}
     return obj
 
@@ -110,10 +105,8 @@ def dumps(obj: dict) -> str:
 
 def _check_shipped(obj: dict, code: GRSCode) -> None:
     """The generator, quantum and provenance keys of a code file are
-    optional, but when present must be exactly what its code fields give;
-    an extended code of length N comes from t = (N-2)/(q+1) cosets."""
-    q = code.field.q
-    qp = QuantumParams.from_classical(code.length, code.k, q, "")
+    optional, but when present must be exactly what its code fields give."""
+    qp = QuantumParams.from_classical(code.length, code.k, code.field.q)
     for key, expected in (("generator", generator_matrix(code)), ("quantum", qp.as_dict())):
         if key not in obj:
             continue
@@ -126,7 +119,7 @@ def _check_shipped(obj: dict, code: GRSCode) -> None:
         for part in [*expected, *(part for part in shipped if part not in expected)]:
             if json.dumps(shipped.get(part)) != json.dumps(expected.get(part)):
                 raise FormatError(f"{key!r} entry {part!r} is not the one the code fields give")
-    provenance = provenance_of(q, (code.length - 2) / (q + 1), code.k, code.extended)
+    _, provenance = design_of(code)
     if obj.get("provenance", provenance) != provenance:
         raise FormatError(f"'provenance' is not {provenance!r}, the one the code fields give")
 

@@ -13,7 +13,10 @@ has at most BRUTE_FORCE_CAP codewords, then the k-column rank test while
 the subset count fits RANK_TEST_CAP, otherwise the MDS status certified by
 the GRS construction is recorded as such).  A construction's witnesses
 must reproduce its multipliers through construct.reconstruct_multipliers,
-the function the constructors build them with.
+the function the constructors build them with, under the provenance
+construct.design_of reads off the code.  Quantum parameters and
+provenance are functions of the code, so no construction can claim other
+ones.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from .construct import (
     ParameterError,
     QuantumParams,
     additive_coset_code,
+    design_of,
     grid,
     multiplicative_coset_code,
     reconstruct_multipliers,
@@ -119,7 +123,7 @@ def distance_ladder(code: Union[GRSCode, LinearCode]) -> Tuple[str, Optional[int
         return "by-construction", None, True
 
 
-def derive_quantum(code: Union[GRSCode, LinearCode], provenance: str) -> QuantumParams:
+def derive_quantum(code: Union[GRSCode, LinearCode]) -> QuantumParams:
     """[[N, N-2k, k+1]]_q from a Hermitian self-orthogonal classical [N, k]
     MDS code over GF(q^2); raises if either premise fails.
 
@@ -137,17 +141,7 @@ def derive_quantum(code: Union[GRSCode, LinearCode], provenance: str) -> Quantum
             raise ValueError("cannot certify the MDS premise")
         if not mds:
             raise ValueError("code is not MDS")
-    return QuantumParams.from_classical(code.length, code.k, code.field.q, provenance)
-
-
-def construction_identity(result: ConstructionResult) -> str:
-    q = result.quantum.q
-    code = result.code
-    if result.quantum.provenance == PROVENANCE_ADDITIVE:
-        t = code.n // q
-    else:
-        t = (code.length - 2) // (q + 1)
-    return f"{result.quantum.provenance} q={q} t={t} k={code.k}"
+    return QuantumParams.from_classical(code.length, code.k, code.field.q)
 
 
 def verify_code(code: GRSCode, identity: str = "code") -> VerificationReport:
@@ -171,15 +165,13 @@ def verify_code(code: GRSCode, identity: str = "code") -> VerificationReport:
 
 
 def verify_construction(result: ConstructionResult) -> VerificationReport:
-    """verify_code plus the bookkeeping a construction claims: its quantum
-    parameters are the ones the classical code gives, and its witnesses
-    reproduce the multipliers."""
-    code, qp = result.code, result.quantum
-    report = verify_code(code, construction_identity(result))
-    derived = QuantumParams.from_classical(code.length, code.k, code.field.q, qp.provenance)
-    v = reconstruct_multipliers(code.field, code.a, qp.provenance, result.witnesses)
-    bookkeeping = qp == derived and v == code.v
-    return report._replace(singleton_equality=bookkeeping)
+    """verify_code plus the witness check: under the code's provenance, the
+    witnesses reproduce its multipliers."""
+    code = result.code
+    t, provenance = design_of(code)
+    report = verify_code(code, f"{provenance} q={code.field.q} t={t} k={code.k}")
+    v = reconstruct_multipliers(code.field, code.a, provenance, result.witnesses)
+    return report._replace(singleton_equality=v == code.v)
 
 
 # ----------------------------------------------------------------------
@@ -232,7 +224,7 @@ def sweep(
                     res = build(q, t, k, element_bound)
                     passed = verify_construction(res).passed
                     length, status = res.code.length, STATUS_OK if passed else STATUS_FAIL
-                qp = QuantumParams.from_classical(length, k, q, fam)
+                qp = QuantumParams.from_classical(length, k, q)
                 rows.append(SweepRow(
                     q=q, t=t, k=k, family=fam, N=length, K=k, D=length - k + 1,
                     n=qp.n, kq=qp.k, d=qp.d, status=status,

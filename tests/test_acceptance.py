@@ -16,6 +16,7 @@ from qmds.construct import (
     FAMILY_ADDITIVE,
     FAMILY_EXTENDED,
     additive_coset_code,
+    design_of,
     grid,
     multiplicative_coset_code,
     quantum_params_for_distance,
@@ -80,7 +81,7 @@ def test_criterion_2_extended_family_exact_self_orthogonality():
         res = multiplicative_coset_code(q, t, k)
         ok, witness = is_hermitian_self_orthogonal(res.code)
         assert ok, f"q={q} t={t} k={k}: witness {witness}"
-        if res.quantum.provenance == "prop1-special":
+        if design_of(res.code)[1] == "prop1-special":
             special += 1
         checked += 1
     elapsed = time.perf_counter() - start
@@ -115,7 +116,7 @@ def test_criterion_3_named_instances_reproduce():
     assert (lc.length, lc.k) == (10, 2)
     assert min_distance_bruteforce(lc) == 9
     assert verify_construction(special).passed
-    qp = derive_quantum(special.code, provenance="prop1-special")
+    qp = derive_quantum(special.code)
     assert (qp.n, qp.k, qp.d, qp.q) == (10, 6, 3, 3)
     _report(3, "named instances reproduce end-to-end")
 

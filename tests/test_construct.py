@@ -13,6 +13,7 @@ from qmds.construct import (
     QuantumParams,
     additive_coset_code,
     check_admissible,
+    design_of,
     dimension_bound,
     grid,
     multiplicative_coset_code,
@@ -22,6 +23,7 @@ from qmds.construct import (
 )
 from qmds.field import field_for_prime_power, make_field
 from qmds.grs import (
+    GRSCode,
     LinearCode,
     as_linear_code,
     in_hermitian_dual,
@@ -35,7 +37,7 @@ SWEEP_Q = (2, 3, 4, 5, 7, 8, 9)
 
 
 def _multiplier_inputs(res):
-    return res.code.field, res.code.a, res.quantum.provenance, res.witnesses
+    return res.code.field, res.code.a, design_of(res.code)[1], res.witnesses
 
 
 def brute_difference_product(F, points, i):
@@ -189,7 +191,7 @@ def test_dimension_bound_values():
 def test_additive_construction_q3():
     res = additive_coset_code(3, 3, 2)
     assert (res.quantum.n, res.quantum.k, res.quantum.d, res.quantum.q) == (9, 5, 3, 3)
-    assert res.quantum.provenance == "theorem1"
+    assert design_of(res.code) == (3, "theorem1")
     assert is_hermitian_self_orthogonal(res.code)[0]
     assert reconstruct_multipliers(*_multiplier_inputs(res)) == res.code.v
 
@@ -397,7 +399,7 @@ def test_special_multiplier_norm_expansion():
 def test_extended_construction_general_case():
     res = multiplicative_coset_code(3, 2, 3)
     assert res.code.length == 10 and res.code.k == 3 and res.code.extended
-    assert res.quantum.provenance == "prop1-general"
+    assert design_of(res.code) == (2, "prop1-general")
     assert is_hermitian_self_orthogonal(res.code)[0]
     assert reconstruct_multipliers(*_multiplier_inputs(res)) == res.code.v
     assert set(res.witnesses) == {"w", "m_coeffs", "gamma"}
@@ -405,7 +407,7 @@ def test_extended_construction_general_case():
 
 def test_extended_construction_special_case():
     res = multiplicative_coset_code(3, 2, 2)
-    assert res.quantum.provenance == "prop1-special"
+    assert design_of(res.code) == (2, "prop1-special")
     assert res.code.length == 10 and res.code.k == 2
     assert is_hermitian_self_orthogonal(res.code)[0]
     assert reconstruct_multipliers(*_multiplier_inputs(res)) == res.code.v
@@ -467,50 +469,48 @@ def test_distance_parameterization():
 
 def test_derive_quantum_from_classical_codes():
     special = multiplicative_coset_code(3, 2, 2)
-    qp = derive_quantum(special.code, provenance="prop1-special")
+    qp = derive_quantum(special.code)
     assert (qp.n, qp.k, qp.d, qp.q) == (10, 6, 3, 3)
     additive = additive_coset_code(3, 3, 2)
-    qp = derive_quantum(additive.code, provenance="theorem1")
+    qp = derive_quantum(additive.code)
     assert (qp.n, qp.k, qp.d, qp.q) == (9, 5, 3, 3)
 
 
 def test_derive_quantum_checks_a_bare_linear_code_through_the_ladder():
     # brute force, then the rank test, certify these two
     for res in (additive_coset_code(3, 3, 2), multiplicative_coset_code(5, 4, 5)):
-        qp = derive_quantum(as_linear_code(res.code), provenance="manual")
+        qp = derive_quantum(as_linear_code(res.code))
         assert (qp.n, qp.k) == (res.quantum.n, res.quantum.k)
     # a zero column keeps the code self-orthogonal but not MDS
     good = as_linear_code(additive_coset_code(3, 3, 2).code)
     padded = LinearCode(good.field, tuple(row + (0,) for row in good.rows))
     with pytest.raises(ValueError, match="not MDS"):
-        derive_quantum(padded, provenance="manual")
+        derive_quantum(padded)
     # past both caps nothing independent can run
     big = as_linear_code(multiplicative_coset_code(9, 8, 8).code)
     with pytest.raises(ValueError, match="cannot certify the MDS premise"):
-        derive_quantum(big, provenance="manual")
+        derive_quantum(big)
 
 
 def test_derive_quantum_rejects_non_self_orthogonal_input():
     F = make_field(3, 1)
-    from qmds.grs import GRSCode
-
     bad = GRSCode(F, tuple(range(5)), (1,) * 5, 1)
     with pytest.raises(ValueError):
-        derive_quantum(bad, provenance="manual")
+        derive_quantum(bad)
 
 
 def test_derive_quantum_degenerate_zero_dimension():
     F = make_field(3, 1)
     empty = LinearCode(F, (), length=6)
-    qp = derive_quantum(empty, provenance="manual")
+    qp = derive_quantum(empty)
     assert (qp.n, qp.k, qp.d) == (6, 6, 1)
     assert qp.degenerate
 
 
 def test_quantum_params_enforce_singleton_equality():
     with pytest.raises(ValueError):
-        QuantumParams(n=10, k=5, d=3, q=3, provenance="manual")
-    QuantumParams(n=10, k=6, d=3, q=3, provenance="manual")
+        QuantumParams(n=10, k=5, d=3, q=3)
+    QuantumParams(n=10, k=6, d=3, q=3)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
@@ -523,3 +523,42 @@ def test_all_emitted_parameters_saturate_the_quantum_singleton_bound(q):
             if not excluded:
                 qp = build(q, t, k).quantum
                 assert qp.k == qp.n - 2 * qp.d + 2
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11])
+def test_design_of_reads_the_constructors_provenance_off_the_code(q):
+    # the tags the constructors emitted while results stored them: theorem1
+    # for every additive code, prop1-special exactly at (t, k) = (q-1, q-1),
+    # which grid excludes in even characteristic, prop1-general elsewhere.
+    # Up to q = 5 on the constructed codes, above on their point designs.
+    F = field_for_prime_power(q)
+    for family, build, design in (
+        (FAMILY_ADDITIVE, additive_coset_code, AdditiveCosetDesign),
+        (FAMILY_EXTENDED, multiplicative_coset_code, MultiplicativeCosetDesign),
+    ):
+        extended = family == FAMILY_EXTENDED
+        for t, k, excluded in grid(q, family):
+            corner = extended and (t, k) == (q - 1, q - 1)
+            assert excluded == (corner and q % 2 == 0)
+            if excluded:
+                continue
+            if q <= 5:
+                code = build(q, t, k).code
+            else:
+                points = design(F, t).points
+                code = GRSCode(F, points, (1,) * len(points), k, extended)
+            tag = "prop1-special" if corner else "prop1-general" if extended else "theorem1"
+            assert design_of(code) == (t, tag)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_design_of_gives_an_extended_length_off_the_family_the_general_tag(q):
+    # every extended length N on GF(q^2): the special case needs
+    # (N-2)/(q+1) == q-1 exactly, so each N-2 that is no multiple of q+1
+    # gets prop1-general, even at k = q-1
+    F = field_for_prime_power(q)
+    for n in range(1, q * q + 1):
+        for k in range(1, n + 2):
+            code = GRSCode(F, range(n), (1,) * n, k, extended=True)
+            special = (n - 1) / (q + 1) == q - 1 and k == q - 1
+            assert design_of(code)[1] == ("prop1-special" if special else "prop1-general")

@@ -55,7 +55,7 @@ def euclidean_dual(code):
     """Closed-form Euclidean dual of a plain GRS_k(a, v): the unit-multiplier
     basis with column i divided by v_i, the rows of GRS_{n-k}(a, w/v)."""
     F = code.field
-    return [[F.div(x, vi) for x, vi in zip(row, code.v)]
+    return [[F.mul(x, F.inv(vi)) for x, vi in zip(row, code.v)]
             for row in dual_basis(F, code.a, code.k)]
 
 
@@ -153,10 +153,10 @@ def test_generator_matrix_extended_last_column():
 def test_encode_zero_and_top_coefficient():
     code = GRSCode(F9, (0, 1, TWO), (1, 1, 1), 2, extended=True)
     assert encode(code, Poly.zero(F9)) == (0,) * 4
-    word = encode(code, Poly.monomial(F9, 1))  # f = x^(k-1) = x
+    word = encode(code, Poly(F9, (0, 1)))  # f = x^(k-1) = x
     assert word[-1] == 1
     with pytest.raises(ValueError):
-        encode(code, Poly.monomial(F9, 2))  # degree k
+        encode(code, Poly(F9, (0, 0, 1)))  # degree k
 
 
 def test_encode_is_linear_and_injective():
@@ -200,6 +200,13 @@ def test_w_vector_nonzero_and_distinct_required():
     assert all(x != 0 for x in w_vector(F9, list(range(7))))
     with pytest.raises(ValueError):
         w_vector(F9, [1, 1])
+
+
+@pytest.mark.parametrize("points", [[0, -3], [0, 9], [0, True], [0, 1.0]])
+def test_w_vector_rejects_points_that_are_not_field_elements(points):
+    # the field's tables would read -3 as an element
+    with pytest.raises(ValueError, match=f"point {points[1]!r} is not an element"):
+        w_vector(F9, points)
 
 
 def test_dual_basis_example_rows():
@@ -278,6 +285,17 @@ def test_hermitian_dual_is_frobenius_of_euclidean_dual():
             assert not hermitian_dual_contains(code, u)
 
 
+@pytest.mark.parametrize("extended", [False, True])
+def test_hermitian_dual_contains_rejects_a_word_of_the_wrong_length(extended):
+    # the row products zip the word with each row, so a word of another
+    # length would be truncated to the code's and could read as a member
+    code = GRSCode(F9, (0, 1, TWO, 4), (1, 1, 1, 1), 2, extended=extended)
+    assert hermitian_dual_contains(code, (0,) * code.length)
+    for word in ((), (0,), (0,) * 7, (0,) * (code.length + 1), (0,) * (code.length - 1)):
+        with pytest.raises(ValueError, match=f"word of length {len(word)} "):
+            hermitian_dual_contains(code, word)
+
+
 # ----------------------------------------------------------------------
 # Hermitian self-orthogonality
 # ----------------------------------------------------------------------
@@ -341,7 +359,7 @@ def test_membership_zero_message_always_in_dual():
 def test_membership_rejects_overlong_message():
     code = GRSCode(F9, (0, 1), (1, 1), 1)
     with pytest.raises(ValueError):
-        in_hermitian_dual(code, Poly.x(F9))
+        in_hermitian_dual(code, Poly(F9, (0, 1)))
 
 
 # ----------------------------------------------------------------------
@@ -402,10 +420,17 @@ def test_code_size_is_order_to_the_k():
         assert len(words) == F.order ** k
 
 
-def test_bruteforce_cap():
-    code = GRSCode(F9, tuple(range(8)), (1,) * 8, 4)
-    with pytest.raises(CapExceeded):
-        min_distance_bruteforce(as_linear_code(code), 1000)
+def _generator_must_not_be_built(code):
+    raise AssertionError("the cap check must come before any generator")
+
+
+def test_bruteforce_cap(monkeypatch):
+    # 16**5 = 1,048,576 codewords, past BRUTE_FORCE_CAP = 10**6
+    F16 = field_for_prime_power(4)
+    code = GRSCode(F16, tuple(range(8)), (1,) * 8, 5)
+    monkeypatch.setattr("qmds.grs.generator_rows", _generator_must_not_be_built)
+    with pytest.raises(CapExceeded, match="1048576 codewords"):
+        min_distance_bruteforce(code)
 
 
 def test_rank_test_examples():
@@ -413,8 +438,15 @@ def test_rank_test_examples():
     assert is_mds_by_rank(as_linear_code(vand))
     repeated = LinearCode(F9, ((1, 1, 0), (0, 0, 1)))
     assert not is_mds_by_rank(repeated)
-    with pytest.raises(CapExceeded):
-        is_mds_by_rank(as_linear_code(vand), 3)
+
+
+def test_rank_test_cap(monkeypatch):
+    # C(30, 5) = 142,506 column subsets, past RANK_TEST_CAP = 10**5
+    F64 = field_for_prime_power(8)
+    code = GRSCode(F64, tuple(range(30)), (1,) * 30, 5)
+    monkeypatch.setattr("qmds.grs.generator_rows", _generator_must_not_be_built)
+    with pytest.raises(CapExceeded, match="142506 column subsets"):
+        is_mds_by_rank(code)
 
 
 def test_rank_test_agrees_with_bruteforce():

@@ -55,7 +55,7 @@ def reference_rref(F, rows):
             continue
         m[r], m[pivot] = m[pivot], m[r]
         lead = m[r][c]
-        m[r] = [F.div(x, lead) for x in m[r]]
+        m[r] = [F.mul(x, F.inv(lead)) for x in m[r]]
         for i in range(len(m)):
             if i != r and m[i][c]:
                 f = m[i][c]

@@ -18,13 +18,13 @@ F4 = make_field(2, 1)
 def instances():
     """One instance of each value type, with the name of one of its fields."""
     code = GRSCode(F4, (0, 1, 2), (1, 1, 1), 2)
-    qp = QuantumParams(9, 5, 3, 3, "theorem1")
+    qp = QuantumParams(9, 5, 3, 3)
     return [
         (PrimeField(5), "p"),
         (code, "a"),
         (LinearCode(F4, [[1, 0, 1], [0, 1, 1]]), "rows"),
         (qp, "k"),
-        (ConstructionResult(code=code, quantum=qp, witnesses={"w": [1, 1, 1]}), "code"),
+        (ConstructionResult(code=code, witnesses={"w": [1, 1, 1]}), "code"),
         (VerificationReport(
             identity="code", hermitian_self_orthogonal=True, hermitian_witness=None,
             distance_method="brute", measured_distance=2, mds=True,
@@ -65,8 +65,7 @@ def test_copies_are_equal(obj):
         (GRSCode, (F4, (0, 1), (1, 1), 3, True), (F4, [0, 1], (1, 1), 3, True),
          (F4, (0, 1), (1, 1), 2, True)),
         (LinearCode, (F4, ((1, 0), (0, 1))), (F4, [[1, 0], [0, 1]], 2), (F4, [[1, 0]])),
-        (QuantumParams, (9, 5, 3, 3, "theorem1"), [9, 5, 3, 3, "theorem1"],
-         (9, 7, 2, 3, "theorem1")),
+        (QuantumParams, (9, 5, 3, 3), [9, 5, 3, 3], (9, 7, 2, 3)),
     ],
     ids=["PrimeField", "GRSCode", "GRSCode-extended", "LinearCode", "QuantumParams"],
 )
@@ -81,17 +80,31 @@ def test_defaults():
     assert GRSCode(F4, (0, 1), (1, 1), 1).extended is False
     assert LinearCode(F4, [[1, 0, 1]]).length == 3
     assert LinearCode(F4, [], 4).length == 4
-    assert QuantumParams(9, 5, 3, 3, "theorem1").degenerate is False
-    assert QuantumParams.from_classical(4, 0, 2, "theorem1").degenerate is True
+    assert QuantumParams(9, 5, 3, 3).degenerate is False
+    assert QuantumParams.from_classical(4, 0, 2).degenerate is True
+
+
+def test_records_store_no_fact_the_code_gives():
+    # provenance and [[n, k, d]] are functions of the code, so no record
+    # can hold ones that disagree with it
+    assert QuantumParams.__slots__ == ("n", "k", "d", "q")
+    assert ConstructionResult._fields == ("code", "witnesses")
+    code = GRSCode(F4, (0, 1, 2), (1, 1, 1), 1)
+    result = ConstructionResult(code=code, witnesses={"w": [1, 1, 1]})
+    assert result.quantum == QuantumParams(3, 1, 2, 2)
+    with pytest.raises(ValueError):
+        result._replace(quantum=QuantumParams(3, 3, 1, 2))
+    with pytest.raises(AttributeError):
+        result.quantum = QuantumParams(3, 3, 1, 2)
 
 
 def test_quantum_params_read_degenerate_from_the_distance():
     # degenerate follows d, so no argument may set it
     with pytest.raises(TypeError):
-        QuantumParams(9, 5, 3, 3, "theorem1", True)
-    qp = QuantumParams.from_classical(6, 0, 3, "theorem1")
+        QuantumParams(9, 5, 3, 3, True)
+    qp = QuantumParams.from_classical(6, 0, 3)
     assert (qp.d, qp.degenerate) == (1, True)
-    assert QuantumParams(6, 6, 1, 3, "theorem1") == qp
+    assert QuantumParams(6, 6, 1, 3) == qp
     assert "degenerate" not in repr(qp)  # a property, not a stored field
     with pytest.raises(AttributeError):
         qp.degenerate = False
@@ -113,7 +126,7 @@ def test_quantum_params_read_degenerate_from_the_distance():
         (lambda: LinearCode(F4, [[1, 4]]), "generator entries must be field elements"),
         (lambda: LinearCode(F4, [[1, 2], [2, 3]]), "generator matrix must have full row rank"),
         (lambda: LinearCode(F4, []), "length is required for a zero-dimensional code"),
-        (lambda: QuantumParams(9, 6, 3, 3, "theorem1"), "[[9,6,3]] violates k = n - 2d + 2"),
+        (lambda: QuantumParams(9, 6, 3, 3), "[[9,6,3]] violates k = n - 2d + 2"),
     ],
 )
 def test_invalid_values_are_rejected(build, message):

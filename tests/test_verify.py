@@ -10,7 +10,6 @@ from qmds.construct import (
     ConstructionResult,
     MultiplicativeCosetDesign,
     ParameterError,
-    QuantumParams,
     additive_coset_code,
     multiplicative_coset_code,
 )
@@ -79,7 +78,7 @@ def test_verify_detects_tampered_code():
     v = list(good.code.v)
     v[0] = good.code.field.mul(v[0], good.code.field.generator)  # change one norm
     bad_code = GRSCode(good.code.field, good.code.a, tuple(v), good.code.k)
-    tampered = ConstructionResult(bad_code, good.quantum, good.witnesses)
+    tampered = ConstructionResult(bad_code, good.witnesses)
     report = verify_construction(tampered)
     assert not report.passed
     assert not report.hermitian_self_orthogonal
@@ -104,7 +103,7 @@ def test_verify_detects_a_tampered_witness_on_a_valid_code(build, key):
     # norm equation stays solvable and only its solution changes
     witnesses[key][0] = F.mul(witnesses[key][0], F.norm(F.generator))
     assert witnesses[key][0] != good.witnesses[key][0]
-    report = verify_construction(ConstructionResult(good.code, good.quantum, witnesses))
+    report = verify_construction(ConstructionResult(good.code, witnesses))
     assert report.hermitian_self_orthogonal and report.mds  # the code is untouched
     assert not report.singleton_equality
     assert not report.passed
@@ -129,7 +128,7 @@ def test_verify_detects_a_multiplier_changed_by_a_unit_of_norm_one(build):
     v[0] = F.mul(v[0], theta)
     assert v[0] != good.code.v[0] and F.norm(v[0]) == F.norm(good.code.v[0])
     code = GRSCode(good.code.field, good.code.a, tuple(v), good.code.k, good.code.extended)
-    report = verify_construction(ConstructionResult(code, good.quantum, good.witnesses))
+    report = verify_construction(ConstructionResult(code, good.witnesses))
     assert report.hermitian_self_orthogonal and report.mds
     assert not report.singleton_equality
     assert not report.passed
@@ -142,18 +141,9 @@ def test_verify_reports_a_w_witness_without_a_norm_solution_as_a_failure():
     F = good.code.field
     witnesses = {name: list(val) for name, val in good.witnesses.items()}
     witnesses["w"][0] = F.mul(witnesses["w"][0], F.generator)
-    report = verify_construction(ConstructionResult(good.code, good.quantum, witnesses))
+    report = verify_construction(ConstructionResult(good.code, witnesses))
     assert report.hermitian_self_orthogonal and report.mds
     assert not report.singleton_equality
-    assert not report.passed
-
-
-def test_verify_detects_quantum_parameters_that_do_not_match_the_code():
-    good = additive_coset_code(3, 3, 2)
-    qp = good.quantum
-    wrong = QuantumParams(11, 7, qp.d, qp.q, qp.provenance)  # still k = n - 2d + 2
-    report = verify_construction(ConstructionResult(good.code, wrong, good.witnesses))
-    assert report.hermitian_self_orthogonal and report.mds
     assert not report.passed
 
 
