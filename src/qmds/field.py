@@ -15,10 +15,12 @@ Elements are plain ints in canonical encoding:
     1 + j  -> generator**j   for 0 <= j <= q**2 - 2
 
 Equality of elements is equality of ints.  Multiplication, inversion and
-powering are index arithmetic on discrete logs; addition uses Zech
+powering are index arithmetic on discrete logs, and so are the Frobenius
+map x -> x**q (generator**j -> generator**(j*q)) and the subfield test
+(GF(q)* is the powers of generator**(q+1)); addition uses Zech
 logarithms.  All operations are exact, and a tower is immutable after
-construction (its add/mul lookup tables are built once, on first use), so
-it is safe to share freely.
+construction (its Zech list and add/mul lookup tables are built with it),
+so it is safe to share freely.
 
 The tables come from one walk over the powers of the generator in packed
 form: the coefficient vector of a polynomial of degree < 2e over GF(p),
@@ -45,15 +47,17 @@ Element = int
 #: are materialised, so this caps table memory and construction time.
 DEFAULT_ELEMENT_BOUND = 2 ** 14
 
-#: Ceiling on a user-set element bound: building GF(2^16) takes about 0.09 s
-#: and 9 MB, and each further factor of 4 costs about 4.5x the time and 4x
-#: the memory.
+#: Ceiling on a user-set element bound: building GF(2^16) takes about 0.05 s
+#: and 6 MB on a 2-core Intel Xeon with Python 3.11, and each further factor
+#: of 4 costs about 4.5x the time and 4x the memory.
 MAX_ELEMENT_BOUND = 2 ** 16
 
 #: Largest field whose add/mul tables `FieldTower.op_tables` stores as byte
 #: rows: every element then fits in one byte, and a table is at most 64 KB.
-#: Above it the root-free search (`poly._root_free_candidates`) computes its
-#: block images in bulk in the log domain instead of reading op_tables.
+#: Above it op_tables are views that call the methods.  The root-free search
+#: (`poly._root_free_candidates`) then computes its block images in bulk in
+#: the log domain, but its sieve marks, its irreducibility test and its
+#: discriminant filter still read the views, one method call per lookup.
 LOOKUP_TABLE_MAX_ORDER = 256
 
 
@@ -182,6 +186,11 @@ class FieldTower:
         order: q**2, the number of elements.
         modulus: monic irreducible of degree 2e over GF(p), ascending coeffs.
         generator: canonical encoding of the primitive element (always 2).
+        op_tables: (add, mul) with add[x][y] == self.add(x, y) and
+            mul[x][y] == self.mul(x, y), for the kernels' inner loops.  Up
+            to LOOKUP_TABLE_MAX_ORDER elements the rows are `bytes` (64 KB
+            per table at order 256); larger towers get views that call the
+            methods, so no order**2 entries are materialised.
     """
 
     def __init__(self, p: int, e: int):
@@ -194,10 +203,6 @@ class FieldTower:
         self.q = p ** e
         self.order = self.q ** 2
         self.modulus: Tuple[int, ...] = root_free_monic(PrimeField(p), 2 * e).coeffs
-        # Declared here and filled on first use: adding the attribute after
-        # __init__ instead made the field methods about a third slower on
-        # CPython 3.11, which then drops its compact instance layout.
-        self._op_tables: Optional[Tuple[Sequence[Sequence[Element]], ...]] = None
         self._build_tables()
 
     # -- construction ---------------------------------------------------
@@ -267,10 +272,10 @@ class FieldTower:
         return gen_packed, exp, log
 
     def _build_tables(self) -> None:
-        """Fill the Zech, Frobenius and subfield tables from the powers of
-        the generator, which `_exp_log` walks at a few integer operations
-        per step (two table lookups, one addition, two reductions); exp and
-        log are not kept.
+        """Fill the Zech list, the subfield enumeration and `op_tables` from
+        the powers of the generator, which `_exp_log` walks at a few integer
+        operations per step (two table lookups, one addition, two
+        reductions); exp and log are not kept.
 
         1 + x changes only the lowest base-p digit of a packed x, so the
         Zech entry of x needs no arithmetic beyond that digit: x + 1, or
@@ -279,24 +284,34 @@ class FieldTower:
         gen_packed, exp, log = self._exp_log()
         self.generator: Element = 1 + log[gen_packed]  # always 2 by construction
 
-        # Zech logarithms: zech[d] = log(1 + generator**d), None when the
-        # sum is 0 (log[0] is None: the walk never reaches 0)
+        # Zech logarithms: zech[d] = log(1 + generator**d), and 2M - 1, which
+        # is no log, at the one d where the sum is 0 (the walk never reaches
+        # 0, so log[0] is free to hold it)
         p = self.p
-        self._zech: List[Optional[int]] = [
-            log[x - p + 1 if x % p == p - 1 else x + 1] for x in exp]
         M = self.order - 1
+        log[0] = 2 * M - 1
+        self._zech: List[int] = [log[x - p + 1 if x % p == p - 1 else x + 1] for x in exp]
         self._neg_shift = 0 if p == 2 else M // 2
-
-        frob = [0] + [1 + (j * self.q) % M for j in range(M)]
-        self._frob = frob
 
         # subfield enumeration: 0 first, then ascending powers of
         # norm(generator) == generator**(q+1), whose encodings step by q + 1
         self._subfield = (0,) + tuple(range(1, self.order, self.q + 1))
 
-        fixed = sum(1 for y in range(self.order) if frob[y] == y)
-        if fixed != self.q or any(frob[y] != y for y in self._subfield):
-            raise RuntimeError("subfield verification failed")
+        if self.order > LOOKUP_TABLE_MAX_ORDER:
+            self.op_tables = (_MethodTable(self.add), _MethodTable(self.mul))
+            return
+        # Multiplication adds discrete logs, so mul row x is 0 followed by
+        # the units 1..order-1 rotated by x - 1.  Addition row x is x
+        # followed by x * (1 + y/x) over the units y: the Zech row 1 + y
+        # rotated by x - 1, mapped through mul[x].
+        units = bytes(range(1, self.order))
+        mul = (bytes(self.order),) + tuple(b"\0" + units[r:] + units[:r] for r in range(M))
+        one_plus = bytes(0 if z >= M else 1 + z for z in self._zech)
+        pad = bytes(256 - self.order)
+        add = (bytes(range(self.order)),) + tuple(
+            bytes((1 + r,)) + (one_plus[M - r:] + one_plus[:M - r]).translate(mul[1 + r] + pad)
+            for r in range(M))
+        self.op_tables: Tuple[Sequence[Sequence[Element]], ...] = (add, mul)
 
     # -- element arithmetic ----------------------------------------------
 
@@ -308,7 +323,7 @@ class FieldTower:
         M = self.order - 1
         i, j = x - 1, y - 1
         t = self._zech[(j - i) % M]
-        if t is None:
+        if t >= M:
             return 0
         return 1 + (i + t) % M
 
@@ -340,47 +355,14 @@ class FieldTower:
             raise ZeroDivisionError("zero to a negative power")
         return 1 + ((x - 1) * m) % (self.order - 1)
 
-    @property
-    def op_tables(self) -> Tuple[Sequence[Sequence[Element]], ...]:
-        """(add, mul) indexed as add[x][y] == self.add(x, y) and
-        mul[x][y] == self.mul(x, y), for the inner loops of the distance
-        kernels.
-
-        Up to LOOKUP_TABLE_MAX_ORDER elements every row is a `bytes` object
-        of `order` entries (64 KB per table at order 256), built on first
-        use.  Larger fields get views that call the methods, so the same
-        loop runs on every field without materialising order**2 entries.
-        The root-free search reads these tables only up to that order;
-        above it, it works on discrete logs and the Zech list directly.
-        The polynomial kernels in `poly` read them on every field.
-
-        The rows are slices of two base rows.  Multiplication adds discrete
-        logs, so row x is 0 followed by the units 1..order-1 rotated by
-        x - 1.  Addition row x is x followed by x * (1 + y/x) over the units
-        y: the Zech row 1 + y rotated by x - 1, mapped through mul[x].
-        """
-        if self._op_tables is None:
-            if self.order > LOOKUP_TABLE_MAX_ORDER:
-                self._op_tables = (_MethodTable(self.add), _MethodTable(self.mul))
-            else:
-                M = self.order - 1
-                units = bytes(range(1, self.order))
-                mul = (bytes(self.order),) + tuple(
-                    b"\0" + units[r:] + units[:r] for r in range(M))
-                one_plus = bytes(0 if z is None else 1 + z for z in self._zech)
-                pad = bytes(256 - self.order)
-                add = (bytes(range(self.order)),) + tuple(
-                    bytes((1 + r,))
-                    + (one_plus[M - r:] + one_plus[:M - r]).translate(mul[1 + r] + pad)
-                    for r in range(M))
-                self._op_tables = (add, mul)
-        return self._op_tables
-
     # -- tower structure ---------------------------------------------------
 
     def frobenius(self, x: Element) -> Element:
-        """The automorphism x -> x**q; fixes exactly the subfield."""
-        return self._frob[x]
+        """The automorphism x -> x**q, which fixes exactly the subfield: 0
+        at 0, and generator**(j*q) at generator**j (`pow` at m = q)."""
+        if x == 0:
+            return 0
+        return 1 + (x - 1) * self.q % (self.order - 1)
 
     def norm(self, x: Element) -> Element:
         """x -> x**(q+1), a surjection of GF(q^2)* onto GF(q)*."""
@@ -407,7 +389,9 @@ class FieldTower:
         return self.pow(self.generator, M // order)
 
     def in_subfield(self, x: Element) -> bool:
-        return self._frob[x] == x
+        """Whether x is in GF(q): 0, or a power of norm(generator) ==
+        generator**(q+1)."""
+        return x == 0 or (x - 1) % (self.q + 1) == 0
 
     def subfield_elements(self) -> Tuple[Element, ...]:
         """GF(q) in canonical enumeration order: 0, then ascending powers

@@ -148,11 +148,19 @@ def as_linear_code(code) -> LinearCode:
     return LinearCode(code.field, generator_rows(code), code.length)
 
 
+def _check_message(code: GRSCode, f: Poly) -> None:
+    """Raise ValueError unless f is a message of the code: a polynomial
+    over the code's field of degree at most k - 1."""
+    if f.field != code.field:
+        raise ValueError(f"message over {f.field!r} for a code over {code.field!r}")
+    if f.degree > code.k - 1:
+        raise ValueError(f"message degree {f.degree} exceeds k-1 = {code.k - 1}")
+
+
 def encode(code: GRSCode, f: Poly) -> Tuple[Element, ...]:
     """(v_1 f(a_1), ..., v_n f(a_n)) plus, when extended, the coefficient
     of x**(k-1)."""
-    if f.degree > code.k - 1:
-        raise ValueError(f"message degree {f.degree} exceeds k-1 = {code.k - 1}")
+    _check_message(code, f)
     F = code.field
     word = [F.mul(vi, f(ai)) for ai, vi in zip(code.a, code.v)]
     if code.extended:
@@ -257,6 +265,7 @@ def hermitian_dual_contains(code, word: Sequence[Element]) -> bool:
     if len(word) != code.length:
         raise ValueError(f"word of length {len(word)} for a code of length {code.length}")
     F = code.field
+    check_elements(F, word, "word entry")
     wq = [F.frobenius(x) for x in word]
     return not any(row_products(F, wq, generator_rows(code)))
 
@@ -271,8 +280,7 @@ def in_hermitian_dual(code: GRSCode, f: Poly) -> bool:
     interpolant through those values is the only candidate, which makes the
     existential condition a deterministic check.
     """
-    if f.degree > code.k - 1:
-        raise ValueError(f"message degree {f.degree} exceeds k-1 = {code.k - 1}")
+    _check_message(code, f)
     F = code.field
     n = code.n
     w = w_vector(F, code.a)

@@ -424,10 +424,8 @@ def _bulk_root_free(F: FieldTower) -> Callable[[List[Element]], bytearray]:
     prod = array(typecode, logs)
     prod += prod[:M - 1]
     prod += array(typecode, (Z,)) * M
-    # the Zech logs, with Z at the one i where 1 + generator**i == 0
-    zero_at = F._zech.index(None)
-    zech = memoryview(array(typecode, itertools.chain(
-        itertools.islice(F._zech, zero_at), (Z,), itertools.islice(F._zech, zero_at + 1, None))))
+    # the Zech logs, which hold Z at the one i where 1 + generator**i == 0
+    zech = memoryview(array(typecode, F._zech))
     unused = array(typecode, (Z,)) * (M - 1)
     shift = F.neg(1) - 1  # -generator**i == generator**(i + shift)
 

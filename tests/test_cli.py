@@ -523,13 +523,14 @@ codes = [
     qmds.cli.main(["sweep", "--q", "2"]),
     qmds.cli.main(["construct", "theorem2", "--q", "3", "--t", "2", "--d", "2"]),
 ]
-print(codes, sorted(m for m in ("dataclasses", "inspect", "ast", "dis") if m in sys.modules))
+print(codes, sorted(m for m in ("dataclasses", "inspect", "ast", "dis", "array") if m in sys.modules))
 """
 
 
 def test_cli_calls_import_no_dataclasses_or_inspect():
     # every command is a fresh interpreter, so each of these modules would
-    # add its import time to every call
+    # add its import time to every call; array is loaded only by the bulk
+    # root-free search on towers past 256 elements
     src = os.path.dirname(os.path.dirname(qmds.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(

@@ -448,6 +448,51 @@ def test_extended_membership_covers_both_coefficient_branches():
 
 
 # ----------------------------------------------------------------------
+# negative controls: the Hermitian check fails one dimension further
+# ----------------------------------------------------------------------
+
+# k_true for q in SWEEP_Q and t = 1..q: the largest k at which the
+# multipliers additive_coset_code emits for (q, t) (they do not depend on k)
+# keep GRS_k Hermitian self-orthogonal.  It is at least the paper's
+# dimension_bound(q, t), and above it at 20 of these 38 pairs.
+ADDITIVE_K_TRUE = {
+    2: (1, 1),
+    3: (1, 2, 2),
+    4: (2, 3, 3, 3),
+    5: (2, 3, 3, 4, 4),
+    7: (3, 4, 4, 5, 5, 6, 6),
+    8: (4, 5, 6, 6, 6, 7, 7, 7),
+    9: (4, 5, 5, 6, 7, 7, 7, 8, 8),
+}
+
+
+def _self_orthogonal(code, k):
+    grown = GRSCode(code.field, code.a, code.v, k, extended=code.extended)
+    return is_hermitian_self_orthogonal(grown)[0]
+
+
+@pytest.mark.parametrize("q", SWEEP_Q)
+def test_additive_multipliers_stop_being_self_orthogonal_after_k_true(q):
+    ks = ADDITIVE_K_TRUE[q]
+    assert len(ks) == q
+    for t, k_true in enumerate(ks, start=1):
+        code = additive_coset_code(q, t, 1).code
+        assert dimension_bound(q, t) <= k_true < code.n
+        assert _self_orthogonal(code, k_true), (t, k_true)
+        assert not _self_orthogonal(code, k_true + 1), (t, k_true)
+
+
+@pytest.mark.parametrize("q", SWEEP_Q)
+def test_extended_multipliers_with_m_one_stop_at_k_t_plus_one(q):
+    # k = t + 1 is the top of the grid, where the scaling polynomial m is 1
+    for t in range(1, q):
+        res = multiplicative_coset_code(q, t, t + 1)
+        assert res.witnesses["m_coeffs"] == [1]
+        assert _self_orthogonal(res.code, t + 1)
+        assert not _self_orthogonal(res.code, t + 2), t
+
+
+# ----------------------------------------------------------------------
 # quantum parameter derivation
 # ----------------------------------------------------------------------
 

@@ -202,9 +202,13 @@ def test_every_admissible_tower_has_pinned_tables():
 def test_tables_are_pinned_and_match_a_schoolbook_reference(p, e):
     F = FieldTower(p, e)  # not make_field: its cache would keep 70 towers
     gen, exp, log = F._exp_log()
-    digest = hashlib.sha256(repr((exp, F._zech, F._frob)).encode()).hexdigest()
-    assert (gen, digest[:16]) == TABLES[p, e]
     M, n = F.order - 1, 2 * e
+    # the pinned digests encode the Zech entry of 1 + x == 0 as None and
+    # the Frobenius map as its list of values
+    zech = [None if z >= M else z for z in F._zech]
+    frob = [F.frobenius(x) for x in F.elements()]
+    digest = hashlib.sha256(repr((exp, zech, frob)).encode()).hexdigest()
+    assert (gen, digest[:16]) == TABLES[p, e]
     assert exp[1] == gen and F.generator == 2
     assert log[0] is None and all(log[v] == j for j, v in enumerate(exp))
 
@@ -296,13 +300,23 @@ def test_frobenius_examples():
     assert F4.frobenius(w) == F4.mul(w, w) == F4.add(w, 1)
 
 
+def check_frobenius_fixes_exactly_the_subfield(F):
+    """frobenius and in_subfield are formulas on the encoding: check them
+    against pow, and their fixed points against subfield_elements."""
+    fixed = set()
+    for x in F.elements():
+        assert F.frobenius(F.frobenius(x)) == x
+        assert F.frobenius(x) == F.pow(x, F.q)
+        assert F.in_subfield(x) == (F.frobenius(x) == x), x
+        if F.frobenius(x) == x:
+            fixed.add(x)
+    assert fixed == set(F.subfield_elements()) and len(fixed) == F.q
+
+
 @pytest.mark.parametrize("p,e", UP_TO_16)
 def test_frobenius_is_an_involutive_automorphism(p, e):
     F = make_field(p, e)
-    for x in F.elements():
-        assert F.frobenius(F.frobenius(x)) == x
-        # power-table oracle for the map itself
-        assert F.frobenius(x) == F.pow(x, F.q)
+    check_frobenius_fixes_exactly_the_subfield(F)
     for x in F.elements():
         for y in F.elements():
             assert F.frobenius(F.mul(x, y)) == F.mul(F.frobenius(x), F.frobenius(y))
@@ -310,12 +324,15 @@ def test_frobenius_is_an_involutive_automorphism(p, e):
 
 
 def test_frobenius_automorphism_sampled_beyond_256():
-    F = make_field(5, 2)  # 625 elements
-    rng = random.Random(7)
-    for _ in range(500):
-        x, y = rng.randrange(F.order), rng.randrange(F.order)
-        assert F.frobenius(F.mul(x, y)) == F.mul(F.frobenius(x), F.frobenius(y))
-        assert F.frobenius(F.add(x, y)) == F.add(F.frobenius(x), F.frobenius(y))
+    for p, e in ((5, 2), (17, 1), (2, 7)):  # 625, 289 and 16384 elements
+        F = make_field(p, e)
+        check_frobenius_fixes_exactly_the_subfield(F)
+        rng = random.Random(7)
+        pairs = [(rng.randrange(F.order), rng.randrange(F.order)) for _ in range(2000)]
+        pairs += [(x, F.neg(x)) for x, _ in pairs[:100]]  # sums that are 0
+        for x, y in pairs:
+            assert F.frobenius(F.mul(x, y)) == F.mul(F.frobenius(x), F.frobenius(y))
+            assert F.frobenius(F.add(x, y)) == F.add(F.frobenius(x), F.frobenius(y))
 
 
 def test_norm_examples():

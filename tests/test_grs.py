@@ -296,6 +296,28 @@ def test_hermitian_dual_contains_rejects_a_word_of_the_wrong_length(extended):
             hermitian_dual_contains(code, word)
 
 
+def test_hermitian_dual_contains_rejects_entries_that_are_no_elements():
+    # none of these is an element encoding of GF(9)
+    code = GRSCode(F9, (0, 1, TWO), (1, 1, 1), 2)
+    assert hermitian_dual_contains(code, [0, 0, 0])
+    for bad in (999, 9, -1, True, 1.0, None):
+        with pytest.raises(ValueError, match="word entry"):
+            hermitian_dual_contains(code, [bad, 0, 0])
+
+
+@pytest.mark.parametrize("extended", [False, True])
+def test_messages_over_another_field_are_refused(extended):
+    # Poly(GF(4), x + 2)'s coefficients are GF(9) encodings too, so only the
+    # field tells such a message apart
+    code = GRSCode(F9, (0, 1, TWO), (1, 1, 1), 2, extended=extended)
+    for f in (Poly(F4, [1, 2]), Poly(make_field(2, 2), [1]), Poly.zero(F4)):
+        with pytest.raises(ValueError, match="message over"):
+            encode(code, f)
+        with pytest.raises(ValueError, match="message over"):
+            in_hermitian_dual(code, f)
+    assert encode(code, Poly(F9, [1, 2]))[:3] == (1, F9.add(1, 2), F9.add(1, F9.mul(2, TWO)))
+
+
 # ----------------------------------------------------------------------
 # Hermitian self-orthogonality
 # ----------------------------------------------------------------------
