@@ -11,10 +11,13 @@ scales by a root-free polynomial times norm-equation solutions.
 Each point design keeps its weights w_i in `weights`, the inverses of its
 `difference_product` closed forms; family one builds those from
 `within_coset_product` and `cross_coset_product`.  `qmds check-lemmas`
-checks these same methods against brute-force products.  Each
-constructor records the witnesses (w, and for family two m and gamma) and
-builds the multipliers from them with reconstruct_multipliers, the one
-place the multiplier formulas are written; verify_construction re-runs it.
+checks these same methods against brute-force products.  The constructors
+build each design once per (field, t) and share it, with its gamma, among
+the codes of every k.  Each constructor records the witnesses (w, and for
+family two m and gamma) and builds the multipliers from them with
+reconstruct_multipliers, the one place the multiplier formulas are
+written; verify_construction re-runs it, and so does `qmds verify` on the
+witnesses a code file carries.
 A ConstructionResult keeps only the code and its witnesses: the
 provenance tag and t come from the code through design_of, the quantum
 parameters through QuantumParams.from_classical, and provenance_of is the
@@ -42,6 +45,14 @@ from .poly import Poly, root_free_monic
 PROVENANCE_ADDITIVE = "theorem1"
 PROVENANCE_EXTENDED = "prop1-general"
 PROVENANCE_EXTENDED_SPECIAL = "prop1-special"
+
+#: The witness keys each provenance records.  reconstruct_multipliers reads
+#: "w" under theorem 1, "m_coeffs" and "gamma" under Proposition 1.
+WITNESS_KEYS = {
+    PROVENANCE_ADDITIVE: ("w",),
+    PROVENANCE_EXTENDED: ("w", "m_coeffs", "gamma"),
+    PROVENANCE_EXTENDED_SPECIAL: ("w", "m_coeffs", "gamma"),
+}
 
 #: The two families, named after the theorems that give them.
 FAMILY_ADDITIVE = "theorem1"
@@ -119,10 +130,8 @@ def check_admissible(
 ) -> Dict[int, bool]:
     """Raise ParameterError unless t (and k, when given) lie on the
     family's grid, and ExcludedParameters on its excluded corner.  Returns
-    the admissible k of t, each mapped to whether it is excluded.  grid
-    runs in ascending t, so the scan stops at the first row past t."""
-    rows = itertools.takewhile(lambda row: row[0] <= t, grid(q, family))
-    ks = {k2: excluded for t2, k2, excluded in rows if t2 == t}
+    the admissible k of t, each mapped to whether it is excluded."""
+    ks = dict(_admissible_ks(q, family, t))
     if not ks:
         raise ParameterError(f"t={t} out of range for {family} with q={q}")
     if k is None:
@@ -135,6 +144,15 @@ def check_admissible(
             "in even characteristic with t = k = q-1 (quantum distance q)"
         )
     return ks
+
+
+@functools.lru_cache(maxsize=1)
+def _admissible_ks(q: int, family: str, t: int) -> Tuple[Tuple[int, bool], ...]:
+    """(k, excluded) for every k of t on the family's grid.  grid runs in
+    ascending t, so the scan stops at the first row past t.  Callers ask
+    for one (q, family, t) several times in a row, so one entry is kept."""
+    rows = itertools.takewhile(lambda row: row[0] <= t, grid(q, family))
+    return tuple((k2, excluded) for t2, k2, excluded in rows if t2 == t)
 
 
 def provenance_of(q: int, t: int, k: int, extended: bool) -> str:
@@ -254,7 +272,7 @@ def additive_coset_code(
     grid."""
     field = field_for_prime_power(q, element_bound)
     check_admissible(q, FAMILY_ADDITIVE, t, k)
-    design = AdditiveCosetDesign(field, t)
+    design = _coset_design(AdditiveCosetDesign, field, t)
     witnesses = {"w": list(design.weights)}
     v = reconstruct_multipliers(field, design.points, PROVENANCE_ADDITIVE, witnesses)
     if v is None:
@@ -302,6 +320,7 @@ class MultiplicativeCosetDesign:
         self.weights: Tuple[Element, ...] = tuple(
             field.inv(self.difference_product(i)) for i in range(self.n)
         )
+        self._gamma: Optional[Tuple[Element, ...]] = None
 
     @property
     def n(self) -> int:
@@ -321,9 +340,20 @@ class MultiplicativeCosetDesign:
         return F.mul(F.norm(self.points[i]), self._coset_products[i // (F.q + 1)])
 
     def gamma(self) -> Tuple[Element, ...]:
-        """Norm-equation solutions gamma_i with gamma_i**(q+1) == -w_i."""
-        F = self.field
-        return tuple(F.solve_norm(F.neg(w)) for w in self.weights)
+        """Norm-equation solutions gamma_i with gamma_i**(q+1) == -w_i,
+        solved on the first call and kept."""
+        if self._gamma is None:
+            F = self.field
+            self._gamma = tuple(F.solve_norm(F.neg(w)) for w in self.weights)
+        return self._gamma
+
+
+@functools.lru_cache(maxsize=1)
+def _coset_design(design_cls, field: FieldTower, t: int):
+    """The point design of one family for (field, t), shared by the codes
+    of every k: a sweep builds the codes of one (q, t) in a row, so one
+    design is kept and none outlives the next (q, t)."""
+    return design_cls(field, t)
 
 
 def special_scaling_poly(field: FieldTower) -> Poly:
@@ -365,7 +395,7 @@ def multiplicative_coset_code(
     [[t(q+1)+2, t(q+1)-2k+2, k+1]]_q parameters, for (t, k) on the
     extended family's grid."""
     field = field_for_prime_power(q, element_bound)
-    design = MultiplicativeCosetDesign(field, t)
+    design = _coset_design(MultiplicativeCosetDesign, field, t)
     m = select_scaling_poly(design, k)
     provenance = provenance_of(q, t, k, extended=True)
     witnesses = {

@@ -13,9 +13,10 @@ last level in one pass over the N columns.  Brute force leaves the lowest
 message coordinate c0 free and visits the higher ones in Gray order, one
 row operation per base word; one histogram of N keys gives the lightest of
 the Q words b + c0 * row_0 of a base b, so a lead costs Q^(lead-1) base
-words.  The rank test shares each column prefix's elimination with every
-k-subset that extends it, and settles the last two columns of every subset
-with about N projective-key insertions per (k-2)-column prefix.  Both hold
+words.  The rank test holds the residues of a column prefix as one row per
+coordinate, shares that elimination with every k-subset that extends the
+prefix, and settles the last two columns of every subset with one set of
+about N projective keys per (k-2)-column prefix.  Both hold
 O(k*N) field elements and read the field's add/mul lookup tables
 (`FieldTower.op_tables`).  Their caps still count all Q^k codewords and
 all C(N, k) subsets.  The generator rows read the same tables, and so
@@ -28,9 +29,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from operator import getitem, sub
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .field import Element, FieldTower, Frozen
+from .field import LOOKUP_TABLE_MAX_ORDER, Element, FieldTower, Frozen
 from .linalg import Matrix, rank
 from .poly import Poly, check_elements, lagrange_interpolate
 
@@ -362,18 +364,32 @@ def is_mds_by_rank(code) -> bool:
     k-column submatrix of the generator is nonsingular.
 
     Walks increasing column tuples depth first, sharing each prefix's
-    elimination with every tuple that extends it: a prefix of d independent
-    columns carries the residues of the later columns modulo its span, as
-    vectors of k-d coordinates.  Taking the next column pivots on its
-    residue and reduces each later residue by one O(k-d) row operation.  A
-    zero residue means some at most k columns are dependent, so some
-    k-column submatrix is singular and the walk stops.
+    elimination with every tuple that extends it.  A prefix of d
+    independent columns holds the residues of all later columns modulo its
+    span coordinate-major: m = k-d rows, row j holding coordinate j of
+    every later column, as `bytes` up to LOOKUP_TABLE_MAX_ORDER elements
+    and as lists read through the method views past it.
 
-    The last two columns of a tuple close in one pass: residues (r0, r1)
-    are pairwise independent iff none is zero and their projective keys,
-    r1 / r0 or one infinite key when r0 == 0, are pairwise distinct.  So
-    each (k-2)-column prefix costs about N key insertions, and a k = 2 test
-    is linear in N.  The cap still counts all C(N, k) subsets.
+    Scaling a column by a unit changes no subset's rank.  So each prefix
+    first divides every column whose row-0 entry is nonzero by that entry,
+    with one `map` through the `mul` rows per row, and row 0 becomes all
+    ones.  Taking such a column a as the next one then clears it from row
+    j by subtracting the constant U_j[a] from the row: one C-level pass,
+    `bytes.translate` through the `add` row of -U_j[a] (a `map` through
+    the method views past 256 elements).  The columns whose row-0 entry is
+    zero are moved last and keep their entries under every such step; m of
+    them would be dependent outright, so none starts a subset.  A zero
+    residue means some at most k columns are dependent, so some k-column
+    submatrix is singular and the walk stops.
+
+    The last two rows close in one set of keys: residues (r0, r1) are
+    pairwise independent iff none is zero and their projective keys r1 / r0
+    are pairwise distinct.  At most one column may have r0 == 0 (the
+    infinite key) and at most one r1 == 0 (the key 0); every other key is
+    read off the log encoding, where a unit x is generator**(x-1), as
+    (r1 - r0) mod (Q-1).  So each (k-2)-column prefix costs a few passes
+    over N entries, and a k = 2 test is linear in N and builds no table.
+    The cap still counts all C(N, k) subsets.
     """
     F = code.field
     k = code.k
@@ -382,48 +398,61 @@ def is_mds_by_rank(code) -> bool:
     n_subsets = math.comb(code.length, k)
     if n_subsets > RANK_TEST_CAP:
         raise CapExceeded(f"{n_subsets} column subsets exceed the cap {RANK_TEST_CAP}")
-    rows = generator_rows(code)
     add, mul = F.op_tables
+    rows = generator_rows(code)
+    pad = None
+    if F.order <= LOOKUP_TABLE_MAX_ORDER:
+        rows = [bytes(r) for r in rows]
+        pad = bytes(256 - F.order)  # a translate table has 256 entries
+    else:
+        rows = [list(r) for r in rows]
+    neg = inv = None
+    if k >= 3:  # -x and 1/x of every element x (1/0 read as 0): O(Q) each
+        neg = [F.neg(x) for x in F.elements()]
+        inv = [0] + [F.inv(x) for x in F.nonzero_elements()]
+    return _independent(rows, (add, mul, pad, neg, inv, F.order - 1))
 
-    def independent(residues: List[List[Element]], needed: int) -> bool:
-        """Whether every choice of `needed` of these residues, each a vector
-        of `needed` coordinates, is linearly independent."""
-        if needed == 1:
-            return all(r[0] for r in residues)
-        if needed == 2:
-            keys = set()
-            for r0, r1 in residues:
-                if r0:
-                    key = mul[r1][F.inv(r0)]
-                elif r1:
-                    key = None  # the point at infinity
-                else:
-                    return False
-                if key in keys:
-                    return False
-                keys.add(key)
-            return True
-        for a in range(len(residues) - needed + 1):
-            r = residues[a]
-            p = next((i for i, x in enumerate(r) if x), None)
-            if p is None:
-                return False
-            # -r / r[p]: adding f * pivot clears coordinate p of a residue
-            # whose coordinate p is f
-            normalise = mul[F.neg(F.inv(r[p]))]
-            pivot = [normalise[x] for x in r]
-            reduced = []
-            for s in residues[a + 1:]:
-                f = s[p]
-                if f:
-                    scaled = mul[f]
-                    s = [add[x][scaled[y]] for x, y in zip(s, pivot)]
-                else:
-                    s = list(s)
-                del s[p]
-                reduced.append(s)
-            if not independent(reduced, needed - 1):
-                return False
+
+def _independent(rows, tables) -> bool:
+    """Whether every len(rows) of the columns are linearly independent,
+    where row j holds coordinate j of each column.  `tables` is
+    (add, mul, pad, neg, inv, Q-1), as is_mds_by_rank builds it."""
+    add, mul, pad, neg, inv, units = tables
+    m = len(rows)
+    zeros = rows[0].count(0)
+    if zeros >= m:  # m columns in the hyperplane where coordinate 0 vanishes
+        return False
+    if m == 1:
         return True
-
-    return independent([list(col) for col in zip(*rows)], k)
+    if m == 2:
+        # a zero r0 is the infinite key and a zero r1 the key 0: each may
+        # hold one column, which then leaves the unit keys
+        for axis in (0, 1):
+            if 0 in rows[axis]:
+                c = rows[axis].index(0)
+                if rows[axis].count(0) > 1 or not rows[1 - axis][c]:
+                    return False
+                rows = [r[:c] + r[c + 1:] for r in rows]
+        r0, r1 = rows
+        return len(set(map(units.__rmod__, map(sub, r1, r0)))) == len(r0)
+    for _ in range(zeros):
+        c = rows[0].index(0)
+        rows = [r[:c] + r[c + 1:] + r[c:c + 1] for r in rows]
+    width = len(rows[0])
+    affine = width - zeros
+    pack = type(rows[0])
+    inverses = pack(map(inv.__getitem__, rows[0][:affine]))
+    scaled = [pack(map(getitem, map(mul.__getitem__, r[:affine]), inverses)) + r[affine:]
+              for r in rows[1:]]
+    for a in range(min(affine, width - m + 1)):
+        reduced = []
+        for r in scaled:
+            shift = add[neg[r[a]]]
+            if pad is None:
+                tail = list(map(shift.__getitem__, r[a + 1:affine]))
+            else:
+                tail = r[a + 1:affine].translate(shift + pad)
+            reduced.append(tail + r[affine:])
+        if not _independent(reduced, tables):
+            return False
+    return True

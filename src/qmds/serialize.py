@@ -9,7 +9,8 @@ FormatError, never truncated or coerced.  A construction result
 additionally carries the generator matrix (row-major), the quantum
 parameters, a provenance tag and the multiplier witnesses; a code file
 that carries the generator, the quantum parameters or the provenance tag
-must carry the ones its code fields give.
+must carry the ones its code fields give, and witnesses must give its
+multipliers.
 
 The modulus and the generator choice are both deterministic functions of
 (p, e), so a parsed field is checked against the canonical modulus: a
@@ -21,7 +22,13 @@ from __future__ import annotations
 import json
 from typing import IO, Union
 
-from .construct import ConstructionResult, QuantumParams, design_of
+from .construct import (
+    WITNESS_KEYS,
+    ConstructionResult,
+    QuantumParams,
+    design_of,
+    reconstruct_multipliers,
+)
 from .field import DEFAULT_ELEMENT_BOUND, FieldTower, make_field
 from .grs import GRSCode, generator_matrix
 
@@ -124,6 +131,32 @@ def _check_shipped(obj: dict, code: GRSCode) -> None:
         raise FormatError(f"'provenance' is not {provenance!r}, the one the code fields give")
 
 
+def _check_witnesses(obj: dict, code: GRSCode) -> None:
+    """The witnesses key of a code file is optional, but when present must
+    hold exactly the keys the code's provenance records, each a list of
+    field elements, and must give the code's multipliers through
+    reconstruct_multipliers under that provenance."""
+    if "witnesses" not in obj:
+        return
+    shipped = obj["witnesses"]
+    if type(shipped) is not dict:
+        raise FormatError("'witnesses' must be a dict")
+    _, provenance = design_of(code)
+    keys = WITNESS_KEYS[provenance]
+    order = code.field.order
+    for key in [*keys, *(key for key in shipped if key not in keys)]:
+        if key not in keys:
+            raise FormatError(f"'witnesses' key {key!r} is not one {provenance!r} records")
+        if key not in shipped:
+            raise FormatError(f"'witnesses' key {key!r} is missing")
+        xs = shipped[key]
+        if type(xs) is not list or not all(type(x) is int and 0 <= x < order for x in xs):
+            raise FormatError(f"'witnesses' key {key!r} must be a list of field elements")
+    if reconstruct_multipliers(code.field, code.a, provenance, shipped) != code.v:
+        named = ", ".join(map(repr, keys))
+        raise FormatError(f"'witnesses' ({named}) do not give the multipliers 'v'")
+
+
 def load_code(path: str, element_bound: int = DEFAULT_ELEMENT_BOUND) -> GRSCode:
     """Parse and check a code file; raises FormatError for schema or
     invariant violations and OSError for filesystem problems."""
@@ -134,6 +167,7 @@ def load_code(path: str, element_bound: int = DEFAULT_ELEMENT_BOUND) -> GRSCode:
             raise FormatError(f"malformed JSON: {exc}") from exc
     code = code_from_obj(obj, element_bound)
     _check_shipped(obj, code)
+    _check_witnesses(obj, code)
     return code
 
 

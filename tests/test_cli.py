@@ -166,6 +166,47 @@ def test_verify_rejects_wrong_quantum_parameters(tmp_path, capsys, quantum, key)
     [
         (["theorem1", "--q", "3", "--t", "3", "--k", "2"], "theorem1"),
         (["theorem2", "--q", "5", "--t", "3", "--d", "3"], "prop1-general"),
+        (["theorem2", "--q", "5", "--t", "4", "--d", "5"], "prop1-special"),
+    ],
+)
+def test_verify_checks_the_shipped_witnesses(tmp_path, capsys, argv, provenance):
+    path = tmp_path / "code.json"
+    assert run(capsys, ["construct", *argv, "--out", str(path)])[0] == 0
+    good = json.loads(path.read_text())
+    keys = ("w",) if provenance == "theorem1" else ("w", "m_coeffs", "gamma")
+    assert tuple(good["witnesses"]) == keys
+    order = good["field"]["p"] ** (2 * good["field"]["e"])
+    named = ", ".join(map(repr, keys))
+    mismatch = f"'witnesses' ({named}) do not give the multipliers 'v'"
+
+    def tampered(key, i, x):
+        witnesses = {name: list(val) for name, val in good["witnesses"].items()}
+        witnesses[key][i] = x
+        return witnesses
+
+    last = keys[-1]  # gamma, or w on the additive family
+    cases = [
+        ({"w": [0]}, mismatch if provenance == "theorem1" else "'witnesses' key 'm_coeffs' is missing"),
+        (tampered(last, 0, (good["witnesses"][last][0] + 1) % order), mismatch),
+        (tampered(last, -1, order), f"'witnesses' key {last!r} must be a list of field elements"),
+        (tampered("w", 0, True), "'witnesses' key 'w' must be a list of field elements"),
+        ({**good["witnesses"], "x": []}, f"'witnesses' key 'x' is not one {provenance!r} records"),
+        ([0], "'witnesses' must be a dict"),
+    ]
+    for witnesses, message in cases:
+        serialize.save({**good, "witnesses": witnesses}, str(path))
+        rc, out, err = run(capsys, ["verify", str(path)])
+        assert (rc, out, err) == (2, "", f"invalid parameters: {message}\n"), witnesses
+    del good["witnesses"]  # the key is optional
+    serialize.save(good, str(path))
+    assert run(capsys, ["verify", str(path)])[0] == 0
+
+
+@pytest.mark.parametrize(
+    "argv, provenance",
+    [
+        (["theorem1", "--q", "3", "--t", "3", "--k", "2"], "theorem1"),
+        (["theorem2", "--q", "5", "--t", "3", "--d", "3"], "prop1-general"),
         (["theorem2", "--q", "5", "--t", "4", "--d", "5"], "prop1-special"),  # odd q, t = k = q-1
     ],
 )

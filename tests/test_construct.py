@@ -182,6 +182,35 @@ def test_check_admissible_matches_the_whole_grid(q, family):
                 assert expected is None, (t, k)
 
 
+def test_check_admissible_hands_each_caller_its_own_map():
+    ks = check_admissible(5, FAMILY_EXTENDED, 3)
+    ks.clear()
+    assert check_admissible(5, FAMILY_EXTENDED, 3) == {1: False, 2: False, 3: False, 4: False}
+
+
+@pytest.mark.parametrize(
+    "build, design_cls, q, t, ks",
+    [
+        (additive_coset_code, AdditiveCosetDesign, 7, 5, (1, 2, 3, 4)),
+        (multiplicative_coset_code, MultiplicativeCosetDesign, 7, 4, (1, 2, 3, 4, 5)),
+    ],
+    ids=["additive", "extended"],
+)
+def test_each_coset_design_is_built_once_per_field_and_t(monkeypatch, build, design_cls, q, t, ks):
+    # an earlier test may have built it already; then it is built 0 times
+    built = []
+    original = design_cls.__init__
+
+    def counting(self, field, t):
+        built.append(t)
+        original(self, field, t)
+
+    monkeypatch.setattr(design_cls, "__init__", counting)
+    codes = [build(q, t, k).code for k in ks]
+    assert len(built) <= 1
+    assert len({code.a for code in codes}) == 1
+
+
 def test_dimension_bound_values():
     assert dimension_bound(3, 3) == 2
     assert dimension_bound(4, 4) == 3
@@ -318,7 +347,7 @@ def test_gamma_solves_the_norm_equation(q):
     for t in range(1, q):
         design = MultiplicativeCosetDesign(F, t)
         gamma = design.gamma()
-        assert gamma == design.gamma()  # deterministic
+        assert design.gamma() is gamma  # solved once per design
         for i, g in enumerate(gamma):
             assert g != 0
             assert F.norm(g) == F.neg(design.weights[i])

@@ -4,15 +4,20 @@ every k-column subset by an elimination on the field's methods, and the
 minimum weight over all Q^k messages.  Neither reference reads the lookup
 tables that the kernels and `linalg` share.
 
-The codes are random over GF(4), GF(9), GF(16) and GF(17^2).  GF(17^2) has
-289 elements, past `LOOKUP_TABLE_MAX_ORDER`, so the kernels run on the
-field's methods there.  The mix holds GRS codes (MDS), random matrices, and
-codes with a duplicated or a scaled duplicate column (not MDS once k >= 2).
+The codes are random over GF(4), GF(9), GF(16) and GF(17^2) at k <= 3, and
+at the sizes the default sweep ranks: k = 4 and 5 over GF(25) and GF(64),
+and k = 3 over GF(17^2), where only the rank test has a reference that
+finishes.  GF(17^2) has 289 elements, past `LOOKUP_TABLE_MAX_ORDER`, so the
+kernels run on the field's methods there.  The mix holds GRS codes (MDS),
+random matrices, and codes with a duplicated or a scaled duplicate column
+(not MDS once k >= 2).
 
 The targeted tests after them aim at the last level of each kernel, which
 closes in one pass: pairs of 2-coordinate residues compared by projective
 key (the rank test), and the Q words b + c0 * row_0 of one base word b
-read off one histogram (brute force).
+read off one histogram (brute force).  Two more aim at the rank test's
+walk: columns whose first coordinate vanishes, which it moves last, and
+a single singular subset at the very end of the walk.
 """
 
 import itertools
@@ -32,6 +37,18 @@ from qmds.grs import (
 )
 
 FIELDS = {"GF(4)": (2, 1), "GF(9)": (3, 1), "GF(16)": (2, 2), "GF(289)": (17, 1)}
+
+# (field, smallest k, largest k) for each differential case: every k up to
+# 3 (2 past the byte tables), then the k the default sweep ranks, where a
+# pivot step runs on the byte tables and, at GF(289), on the method views.
+KERNEL_CASES = {
+    "GF(4)": ((2, 1), 1, 3), "GF(9)": ((3, 1), 1, 3), "GF(16)": ((2, 2), 1, 3),
+    "GF(289)": ((17, 1), 1, 2),
+    "GF(25)-k4-5": ((5, 1), 4, 5), "GF(64)-k4-5": ((2, 3), 4, 5), "GF(289)-k3": ((17, 1), 3, 3),
+}
+
+#: Largest message count reference_distance enumerates in these tests.
+REFERENCE_WORDS = 10 ** 5
 
 
 def reference_rank(F, rows):
@@ -73,11 +90,11 @@ def reference_distance(code):
     return best
 
 
-def random_code(F, rng, max_k):
+def random_code(F, rng, max_k, min_k=1):
     """A full-rank code of one of four kinds, and its kind."""
     order = F.order
     while True:
-        k = rng.randrange(1, max_k + 1)
+        k = rng.randrange(min_k, max_k + 1)
         n = rng.randrange(k + 1, min(k + 4, order) + 1)
         kind = rng.choice(("grs", "random", "duplicate", "scaled"))
         if kind == "random":
@@ -97,21 +114,23 @@ def random_code(F, rng, max_k):
             continue
 
 
-@pytest.mark.parametrize("name", FIELDS)
+@pytest.mark.parametrize("name", KERNEL_CASES)
 def test_kernels_agree_with_the_references(name):
-    F = make_field(*FIELDS[name])
+    (p, e), min_k, max_k = KERNEL_CASES[name]
+    F = make_field(p, e)
     small = F.order <= LOOKUP_TABLE_MAX_ORDER
     rng = random.Random(F.order)
     verdicts = []
     for _ in range(40 if small else 12):
-        code, kind = random_code(F, rng, max_k=3 if small else 2)
+        code, kind = random_code(F, rng, max_k, min_k)
         mds = reference_mds(code)
         assert is_mds_by_rank(code) == mds, (kind, code.rows)
         if kind == "grs" or (kind in ("duplicate", "scaled") and code.k >= 2):
             assert mds == (kind == "grs"), (kind, code.rows)
-        distance = reference_distance(code)
-        assert min_distance_bruteforce(code) == distance, (kind, code.rows)
-        assert (distance == code.length - code.k + 1) == mds
+        if F.order ** code.k <= REFERENCE_WORDS:
+            distance = reference_distance(code)
+            assert min_distance_bruteforce(code) == distance, (kind, code.rows)
+            assert (distance == code.length - code.k + 1) == mds
         verdicts.append(mds)
     # the negative control: a kernel that always answered "MDS" fails here
     assert not all(verdicts) and any(verdicts)
@@ -218,6 +237,85 @@ def test_rank_keys_residues_with_r0_zero_as_one_point(k):
     # two columns whose r1 agree but whose keys r1 / r0 differ stay independent
     same_r1 = LinearCode(F, [[1, F.generator, 0], [1, 1, 1]])
     assert is_mds_by_rank(same_r1) and reference_mds(same_r1)
+
+
+@pytest.mark.parametrize("name", ("GF(9)", "GF(289)"))
+def test_rank_keeps_the_zero_axes_apart_from_the_unit_keys(name):
+    # A unit x is generator**(x-1), so the key of a unit residue (r0, r1)
+    # is (r1 - r0) mod (Q-1).  Read the same way, a residue (r0', 0) would
+    # key (-r0') mod (Q-1) and a residue (0, r1') r1' mod (Q-1); here each
+    # equals the key of the unit residue beside it, and every pair is
+    # independent.
+    F = make_field(*FIELDS[name])
+    d = F.order - 3  # the key of the unit residue (1, 1 + d), and -2 mod (Q-1)
+    for rows in ([[2, 1], [0, 1 + d]],          # (2, 0) would key -2
+                 [[0, 1], [d, 1 + d]],          # (0, d) would key d
+                 [[2, 0, 1], [0, d, 1 + d]]):
+        code = LinearCode(F, rows)
+        assert reference_mds(code), rows
+        assert is_mds_by_rank(code), rows
+
+
+@pytest.mark.parametrize("name", ("GF(9)", "GF(289)"))
+def test_rank_rejects_two_zero_keys_and_a_zero_residue(name):
+    F = make_field(*FIELDS[name])
+    x = F.generator
+    for rows in ([[1, x, 1], [0, 0, 1]],     # two residues with r1 = 0
+                 [[0, 0, 1], [1, x, 1]],     # two with r0 = 0
+                 [[1, 0, 1], [1, 0, x]],     # a zero residue
+                 [[1, 0, 1, x], [1, 0, x, 1], [0, 0, 1, 1]]):  # a zero column at k = 3
+        code = LinearCode(F, rows)
+        assert not reference_mds(code), rows
+        assert not is_mds_by_rank(code), rows
+
+
+@pytest.mark.parametrize("name", ("GF(9)", "GF(289)"))
+def test_rank_walks_the_columns_where_row_0_vanishes(name):
+    # Columns 3 and 4 vanish on row 0, so the walk moves them last; column
+    # 3 is col1 + beta*col2, the beta that clears row 0, which makes
+    # {1, 2, 3} the only dependent triple.  Every subset that holds it
+    # starts at column 1, one of the columns kept first.
+    F = make_field(*FIELDS[name])
+    x = F.generator
+    checked = 0
+    for y in range(1, 9):
+        cols = [(1, 0, 0), (1, 1, x), (x, 1, 1), None, (0, 1, y)]
+        beta = F.neg(F.mul(cols[1][0], F.inv(cols[2][0])))
+        cols[3] = tuple(F.add(a, F.mul(beta, b)) for a, b in zip(cols[1], cols[2]))
+        assert cols[3][0] == 0
+        code = LinearCode(F, list(zip(*cols)))
+        if dependent_subsets(code, 3) != [(1, 2, 3)] or dependent_subsets(code, 2):
+            continue
+        assert not reference_mds(code)
+        assert not is_mds_by_rank(code), y
+        # three columns on the hyperplane where row 0 vanishes are dependent
+        cols[0] = (0, 1, 1)
+        code = LinearCode(F, list(zip(*cols)))
+        assert not reference_mds(code) and not is_mds_by_rank(code)
+        checked += 1
+    assert checked >= 2
+
+
+@pytest.mark.parametrize("name", ("GF(25)", "GF(289)"))
+def test_rank_finds_one_singular_four_subset_at_the_last_column(name):
+    # A [8, 4] GRS code with its last column replaced by
+    # col4 + beta*col5 + gamma*col6: {4, 5, 6, 7}, the last 4-subset the
+    # walk reaches, is then singular, and for most (beta, gamma) no other
+    # subset is.
+    F = make_field(*{"GF(25)": (5, 1), "GF(289)": (17, 1)}[name])
+    grs = as_linear_code(GRSCode(F, range(8), range(1, 9), 4)).rows
+    assert is_mds_by_rank(LinearCode(F, grs))
+    checked = 0
+    for beta, gamma in itertools.product(range(1, 6), repeat=2):
+        rows = [list(r[:7]) + [F.add(r[4], F.add(F.mul(beta, r[5]), F.mul(gamma, r[6])))]
+                for r in grs]
+        code = LinearCode(F, rows)
+        if dependent_subsets(code, 4) != [(4, 5, 6, 7)] or dependent_subsets(code, 3):
+            continue
+        assert not reference_mds(code)
+        assert not is_mds_by_rank(code), (beta, gamma)
+        checked += 1
+    assert checked >= 10
 
 
 def test_bruteforce_counts_zeros_that_hold_for_every_c0():
