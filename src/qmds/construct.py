@@ -130,8 +130,10 @@ def check_admissible(
 ) -> Dict[int, bool]:
     """Raise ParameterError unless t (and k, when given) lie on the
     family's grid, and ExcludedParameters on its excluded corner.  Returns
-    the admissible k of t, each mapped to whether it is excluded."""
-    ks = dict(_admissible_ks(q, family, t))
+    the admissible k of t, each mapped to whether it is excluded.  grid
+    runs in ascending t, so the scan stops at the first row past t."""
+    rows = itertools.takewhile(lambda row: row[0] <= t, grid(q, family))
+    ks = {k2: excluded for t2, k2, excluded in rows if t2 == t}
     if not ks:
         raise ParameterError(f"t={t} out of range for {family} with q={q}")
     if k is None:
@@ -144,15 +146,6 @@ def check_admissible(
             "in even characteristic with t = k = q-1 (quantum distance q)"
         )
     return ks
-
-
-@functools.lru_cache(maxsize=1)
-def _admissible_ks(q: int, family: str, t: int) -> Tuple[Tuple[int, bool], ...]:
-    """(k, excluded) for every k of t on the family's grid.  grid runs in
-    ascending t, so the scan stops at the first row past t.  Callers ask
-    for one (q, family, t) several times in a row, so one entry is kept."""
-    rows = itertools.takewhile(lambda row: row[0] <= t, grid(q, family))
-    return tuple((k2, excluded) for t2, k2, excluded in rows if t2 == t)
 
 
 def provenance_of(q: int, t: int, k: int, extended: bool) -> str:

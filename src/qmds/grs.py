@@ -67,17 +67,12 @@ class GRSCode(Frozen):
             raise ValueError("at least one evaluation point is required")
         if len(self.v) != n:
             raise ValueError("multiplier vector length must match the point count")
-        order = self.field.order
-        # type(x) is int, not isinstance: a bool is an int subclass, and
-        # neither a bool nor a float is an element encoding
-        for x in self.a:
-            if type(x) is not int or not 0 <= x < order:
-                raise ValueError(f"evaluation point {x!r} is not a field element")
+        check_elements(field, self.a, "evaluation point")
         if len(set(self.a)) != n:
             raise ValueError("evaluation points must be distinct")
-        for x in self.v:
-            if type(x) is not int or not 1 <= x < order:
-                raise ValueError("column multipliers must be nonzero field elements")
+        check_elements(field, self.v, "column multiplier")
+        if 0 in self.v:
+            raise ValueError("column multipliers must be nonzero")
         max_k = n + 1 if self.extended else n
         if type(self.k) is not int or not 1 <= self.k <= max_k:
             raise ValueError(f"dimension k={self.k!r} is not an int from 1 to {max_k}")
@@ -106,9 +101,7 @@ class LinearCode(Frozen):
                 raise ValueError("generator rows must all have the same length")
             if self.length != width:
                 raise ValueError("declared length disagrees with the generator rows")
-            order = self.field.order
-            if not all(type(x) is int and 0 <= x < order for r in rows for x in r):
-                raise ValueError("generator entries must be field elements")
+            check_elements(field, (x for r in rows for x in r), "generator entry")
             if rank(self.field, rows) != len(rows):
                 raise ValueError("generator matrix must have full row rank")
         elif self.length < 0:
@@ -136,10 +129,11 @@ def generator_matrix(code: GRSCode) -> Matrix:
     return rows
 
 
-def generator_rows(code) -> Tuple[Tuple[Element, ...], ...]:
-    """Generator rows of a GRSCode or LinearCode, as tuples."""
+def generator_rows(code) -> Sequence[Sequence[Element]]:
+    """Generator rows of a GRSCode (generator_matrix's lists) or a
+    LinearCode (its own tuples); callers only read them."""
     if isinstance(code, GRSCode):
-        return tuple(tuple(r) for r in generator_matrix(code))
+        return generator_matrix(code)
     return code.rows
 
 

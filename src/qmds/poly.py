@@ -11,8 +11,10 @@ its enumeration order fixes every element encoding.
 
 Polynomials are multiplied, reduced and powered only by the kernels
 `_product`, `_remainder` and `_power`, on coefficient lists: `Poly`, the
-search and the field build (over `field.PrimeField`) all call them.  They,
-evaluation and the search read the field's `op_tables`, not its methods.
+search and the field build (over `field.PrimeField`) all call them.  The
+search hands its candidates to the irreducibility kernel as coefficient
+lists as well, and builds a `Poly` only for the one it returns.  The
+kernels, evaluation and the search read the field's `op_tables`.
 The search evaluates each block of Q candidates, which differ only in the
 constant term, once at every field element and reads the root-free
 candidates off the block's image.  Up to 256 elements it reads the byte
@@ -252,24 +254,23 @@ def is_irreducible(f: Poly) -> bool:
     sum h_j x**(jQ).  So with the d rows x**(jQ) mod f (Berlekamp's
     Q-matrix), each next x**(Q**(i+1)) is one matrix-vector product.
     """
-    return _irreducible_from(f, 1)
+    return _irreducible_from(f.field, f.coeffs, 1)
 
 
-def _irreducible_from(f: Poly, start: int) -> bool:
-    """`is_irreducible` for an f already known to have no irreducible
-    factor of degree below `start`: only the gcds for i >= start are taken.
-    The search calls this directly, so its calls count the search's
-    irreducibility tests."""
-    d = f.degree
+def _irreducible_from(F: FieldTower | PrimeField, f: Sequence[Element], start: int) -> bool:
+    """`is_irreducible` for the trimmed coefficient list f, already known
+    to have no irreducible factor of degree below `start`: only the gcds
+    for i >= start are taken.  The search calls this directly, so its calls
+    count the search's irreducibility tests."""
+    d = len(f) - 1
     if d < 1:
         return False
     if d == 1:
         return True
-    F = f.field
     add, mul = F.op_tables
     # x**d == tail[0] + tail[1] x + ... + tail[d-1] x**(d-1)  (mod f)
-    minus_lc_inv = mul[F.neg(F.inv(f.coeffs[-1]))]
-    tail = [minus_lc_inv[c] for c in f.coeffs[:-1]]
+    minus_lc_inv = mul[F.neg(F.inv(f[-1]))]
+    tail = [minus_lc_inv[c] for c in f[:-1]]
     h = _power(F, [0, 1] + [0] * (d - 2), F.order, tail)
     rows = [[1] + [0] * (d - 1), h]
     while len(rows) < d:
@@ -287,7 +288,7 @@ def _irreducible_from(f: Poly, start: int) -> bool:
         if i >= start:
             diff = list(h)
             diff[1] = add[diff[1]][minus_one]
-            if _gcd_degree(F, f.coeffs, diff) > 0:
+            if _gcd_degree(F, f, diff) > 0:
                 return False
     return True
 
@@ -623,9 +624,8 @@ def root_free_monic(field: FieldTower | PrimeField, degree: int) -> Poly:
         coeffs = [c0] + upper
         if disc_parity is not None and disc_parity(coeffs) != (degree - 1) & 1:
             continue
-        cand = Poly(F, coeffs)
-        if _irreducible_from(cand, least):
-            return cand
+        if _irreducible_from(F, coeffs, least):
+            return Poly(F, coeffs)
         failures_left -= 1
     raise RuntimeError("no irreducible polynomial found")  # cannot happen
 

@@ -10,7 +10,7 @@ additionally carries the generator matrix (row-major), the quantum
 parameters, a provenance tag and the multiplier witnesses; a code file
 that carries the generator, the quantum parameters or the provenance tag
 must carry the ones its code fields give, and witnesses must give its
-multipliers.
+multipliers (and, for the extended family, satisfy gamma_i^(q+1) = -w_i).
 
 The modulus and the generator choice are both deterministic functions of
 (p, e), so a parsed field is checked against the canonical modulus: a
@@ -31,6 +31,7 @@ from .construct import (
 )
 from .field import DEFAULT_ELEMENT_BOUND, FieldTower, make_field
 from .grs import GRSCode, generator_matrix
+from .poly import check_elements
 
 
 class FormatError(ValueError):
@@ -135,26 +136,37 @@ def _check_witnesses(obj: dict, code: GRSCode) -> None:
     """The witnesses key of a code file is optional, but when present must
     hold exactly the keys the code's provenance records, each a list of
     field elements, and must give the code's multipliers through
-    reconstruct_multipliers under that provenance."""
+    reconstruct_multipliers under that provenance; an extended code's w,
+    which that ignores, must give gamma_i**(q+1) == -w_i at every point."""
     if "witnesses" not in obj:
         return
     shipped = obj["witnesses"]
     if type(shipped) is not dict:
         raise FormatError("'witnesses' must be a dict")
+    F = code.field
     _, provenance = design_of(code)
     keys = WITNESS_KEYS[provenance]
-    order = code.field.order
     for key in [*keys, *(key for key in shipped if key not in keys)]:
         if key not in keys:
             raise FormatError(f"'witnesses' key {key!r} is not one {provenance!r} records")
         if key not in shipped:
             raise FormatError(f"'witnesses' key {key!r} is missing")
-        xs = shipped[key]
-        if type(xs) is not list or not all(type(x) is int and 0 <= x < order for x in xs):
-            raise FormatError(f"'witnesses' key {key!r} must be a list of field elements")
-    if reconstruct_multipliers(code.field, code.a, provenance, shipped) != code.v:
+        try:
+            if type(shipped[key]) is not list:
+                raise ValueError
+            check_elements(F, shipped[key], key)
+        except ValueError:
+            raise FormatError(f"'witnesses' key {key!r} must be a list of field elements") from None
+    if reconstruct_multipliers(F, code.a, provenance, shipped) != code.v:
         named = ", ".join(map(repr, keys))
         raise FormatError(f"'witnesses' ({named}) do not give the multipliers 'v'")
+    if not code.extended:
+        return  # the multipliers were built from w itself
+    w = shipped["w"]
+    if len(w) != code.n:
+        raise FormatError(f"'witnesses' key 'w' must hold {code.n} entries, one per point")
+    if any(F.norm(g) != F.neg(x) for g, x in zip(shipped["gamma"], w)):
+        raise FormatError("'witnesses' key 'w' does not satisfy gamma_i^(q+1) = -w_i")
 
 
 def load_code(path: str, element_bound: int = DEFAULT_ELEMENT_BOUND) -> GRSCode:

@@ -185,9 +185,16 @@ def test_verify_checks_the_shipped_witnesses(tmp_path, capsys, argv, provenance)
         return witnesses
 
     last = keys[-1]  # gamma, or w on the additive family
+    # the extended family builds v from m and gamma alone, so w is checked
+    # against gamma_i**(q+1) == -w_i and the point count
+    extended = provenance != "theorem1"
+    short = f"'witnesses' key 'w' must hold {len(good['a'])} entries, one per point"
+    off_norm = "'witnesses' key 'w' does not satisfy gamma_i^(q+1) = -w_i"
     cases = [
         ({"w": [0]}, mismatch if provenance == "theorem1" else "'witnesses' key 'm_coeffs' is missing"),
         (tampered(last, 0, (good["witnesses"][last][0] + 1) % order), mismatch),
+        (tampered("w", 0, (good["witnesses"]["w"][0] + 1) % order), off_norm if extended else mismatch),
+        ({**good["witnesses"], "w": good["witnesses"]["w"][:3]}, short if extended else mismatch),
         (tampered(last, -1, order), f"'witnesses' key {last!r} must be a list of field elements"),
         (tampered("w", 0, True), "'witnesses' key 'w' must be a list of field elements"),
         ({**good["witnesses"], "x": []}, f"'witnesses' key 'x' is not one {provenance!r} records"),

@@ -607,9 +607,9 @@ def test_root_free_monic_sieves_before_testing_irreducibility(q, degree, monkeyp
     calls = []
     test = poly._irreducible_from
 
-    def counting(f, start):
+    def counting(F, f, start):
         calls.append(start)
-        return test(f, start)
+        return test(F, f, start)
 
     monkeypatch.setattr(poly, "_irreducible_from", counting)
     # __wrapped__ skips the cache, so the search runs here

@@ -115,15 +115,15 @@ def test_quantum_params_read_degenerate_from_the_distance():
     [
         (lambda: GRSCode(F4, (), (), 1), "at least one evaluation point is required"),
         (lambda: GRSCode(F4, (0, 1), (1,), 1), "multiplier vector length must match the point count"),
-        (lambda: GRSCode(F4, (0, 4), (1, 1), 1), "evaluation point 4 is not a field element"),
-        (lambda: GRSCode(F4, (0, True), (1, 1), 1), "evaluation point True is not a field element"),
+        (lambda: GRSCode(F4, (0, 4), (1, 1), 1), "evaluation point 4 is not an element of FieldTower(p=2, e=1)"),
+        (lambda: GRSCode(F4, (0, True), (1, 1), 1), "evaluation point True is not an element of FieldTower(p=2, e=1)"),
         (lambda: GRSCode(F4, (1, 1), (1, 1), 1), "evaluation points must be distinct"),
-        (lambda: GRSCode(F4, (0, 1), (1, 0), 1), "column multipliers must be nonzero field elements"),
+        (lambda: GRSCode(F4, (0, 1), (1, 0), 1), "column multipliers must be nonzero"),
         (lambda: GRSCode(F4, (0, 1), (1, 1), 3), "dimension k=3 is not an int from 1 to 2"),
         (lambda: GRSCode(F4, (0, 1), (1, 1), 0, True), "dimension k=0 is not an int from 1 to 3"),
         (lambda: LinearCode(F4, [[1, 0], [0]]), "generator rows must all have the same length"),
         (lambda: LinearCode(F4, [[1, 0]], 3), "declared length disagrees with the generator rows"),
-        (lambda: LinearCode(F4, [[1, 4]]), "generator entries must be field elements"),
+        (lambda: LinearCode(F4, [[1, 4]]), "generator entry 4 is not an element of FieldTower(p=2, e=1)"),
         (lambda: LinearCode(F4, [[1, 2], [2, 3]]), "generator matrix must have full row rank"),
         (lambda: LinearCode(F4, []), "length is required for a zero-dimensional code"),
         (lambda: QuantumParams(9, 6, 3, 3), "[[9,6,3]] violates k = n - 2d + 2"),
