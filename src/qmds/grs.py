@@ -8,21 +8,23 @@ scaling coordinate i by a nonzero multiplier v_i.  The extended variant
 appends one coordinate carrying the degree-(k-1) coefficient of the
 message polynomial.  Both are MDS by construction.
 
-The two distance kernels are exact and incremental, and each closes its
-last level in one pass over the N columns.  Brute force leaves the lowest
-message coordinate c0 free and visits the higher ones in Gray order, one
-row operation per base word; one histogram of N keys gives the lightest of
-the Q words b + c0 * row_0 of a base b, so a lead costs Q^(lead-1) base
-words.  The rank test holds the residues of a column prefix as one row per
-coordinate, shares that elimination with every k-subset that extends the
-prefix, and settles the last two columns of every subset with one set of
-about N projective keys per (k-2)-column prefix.  Both hold
-O(k*N) field elements and read the field's add/mul lookup tables
-(`FieldTower.op_tables`).  Their caps still count all Q^k codewords and
-all C(N, k) subsets.  The generator rows read the same tables, and so
-does `row_products`, the one row-product loop behind the Hermitian Gram
-product, direct Hermitian-dual membership and the dual-basis
-orthogonality check.
+The two distance kernels are exact and incremental, and each settles its
+last levels in bulk.  Brute force leaves the two lowest message
+coordinates c0 and c1 free and visits the higher ones in Gray order, one
+row operation per base word.  One histogram of N keys gives the lightest
+of the Q words b + c0 * row_0 of a word b, and one `bytes.translate` per
+column lays out the keys of all Q values of c1, so a lead costs
+Q^(lead-2) bases, each N translates and Q byte histograms.  The rank test
+holds the residues of a column prefix as one row per coordinate, shares
+that elimination with every k-subset that extends the prefix, and
+settles the last two columns of every subset with one set of about N
+projective keys per (k-2)-column prefix.  Both hold O(k*N) field
+elements, brute force also the N*Q key bytes of one base, and both read
+the field's add/mul lookup tables (`FieldTower.op_tables`).  Their caps
+still count all Q^k codewords and all C(N, k) subsets.  The generator
+rows read the same tables, and so does `row_products`, the one
+row-product loop behind the Hermitian Gram product, direct
+Hermitian-dual membership and the dual-basis orthogonality check.
 """
 
 from __future__ import annotations
@@ -299,17 +301,30 @@ def min_distance_bruteforce(code) -> int:
     message coordinate (the lead) is 1 and the coordinates below it range
     over GF(Q)^lead.  Scaling preserves weights, so every weight is seen.
 
-    The lowest coordinate c0 is left free.  The higher ones are visited in
-    Q-ary reflected Gray order, in which one coordinate c_i changes per
-    step, so each base word b is the previous one plus delta * row_i: a lead
-    costs Q^(lead-1) base words, each one pass over the N columns.  For one
-    base, coordinate j of b + c0 * row_0 vanishes for every c0 when row_0[j]
-    and b[j] are both 0, and for exactly the one c0 = -b[j] / row_0[j] when
-    row_0[j] != 0.  So the largest count of equal keys -b[j] / row_0[j] is
-    the most zeros that any of the Q words of the base has.  The base is
-    kept with those columns already scaled by -1 / row_0[j], so its entries
-    are the keys; memory stays O(k*N).  The cap still counts all Q^k
-    codewords.
+    The lowest coordinate c0 is left free.  Coordinate j of b + c0 * row_0
+    vanishes for every c0 when row_0[j] and b[j] are both 0, and for
+    exactly the one c0 = -b[j] / row_0[j] when row_0[j] != 0.  So the
+    largest count of equal keys -b[j] / row_0[j] is the most zeros that
+    any of the Q words of b has.  The rows are kept with those columns
+    scaled by -1 / row_0[j], so their entries are the keys.
+
+    Lead 1 has one such word b = row_1 and one histogram.  At lead >= 2,
+    c1 is settled in bulk too.  The coordinates c2..c_(lead-1) are visited
+    in Q-ary reflected Gray order, in which one coordinate c_i changes per
+    step, so each base word P is the previous one plus delta * row_i: a
+    lead costs Q^(lead-2) bases, each one pass over the N columns.  Over
+    c1, the keys of keyed column j are P_j + c1 * K1_j with K1_j its
+    row-1 key: the `mul` row of K1_j mapped through the `add` row of P_j,
+    one `bytes.translate`.  The N translates fill one buffer of N*Q
+    bytes, and a byte histogram of the N keys at each c1 gives its most
+    zeros.  A column with row_0[j] == 0 vanishes at every c1 when P_j and
+    row_1[j] are both 0, and at exactly the one c1 = -P_j / row_1[j] when
+    row_1[j] != 0; those columns are kept scaled by -1 / row_1[j], so they
+    add 1 at the c1 their entry names.  The cap admits k >= 3 only on
+    fields of at most 100 elements, so the byte rows of op_tables exist
+    whenever lead >= 2 does.  The buffer is the call's only N*Q bytes,
+    each padded `add` row lives for one translate, and the rows hold
+    O(k*N) field elements; the cap still counts all Q^k codewords.
     """
     F = code.field
     k = code.k
@@ -322,32 +337,52 @@ def min_distance_bruteforce(code) -> int:
             f"{order ** k} codewords exceed the enumeration cap {BRUTE_FORCE_CAP}"
         )
     rows = generator_rows(code)
-    add, mul = F.op_tables
     row0 = rows[0]
     best = length - row0.count(0)
-    # keyed columns: row_0[j] != 0, scaled by -1 / row_0[j]; fixed: row_0[j] == 0
+    if k == 1:
+        return best
+    add, mul = F.op_tables
+    row1 = rows[1]
+    # keyed columns: row_0[j] != 0, scaled by -1 / row_0[j].  Fixed ones,
+    # row_0[j] == 0: first the pinned, row_1[j] != 0, scaled by -1 / row_1[j]
     keyed = [(j, F.neg(F.inv(x))) for j, x in enumerate(row0) if x]
-    fixed = [j for j, x in enumerate(row0) if not x]
+    pinned = [(j, F.neg(F.inv(row1[j]))) for j, x in enumerate(row0) if not x and row1[j]]
+    fixed = pinned + [(j, 1) for j, x in enumerate(row0) if not x and not row1[j]]
     keys_of = [[mul[row[j]][m] for j, m in keyed] for row in rows]
-    fixed_of = [[row[j] for j in fixed] for row in rows]
-    for lead in range(1, k):
+    fixed_of = [[mul[row[j]][m] for j, m in fixed] for row in rows]
+    n_pinned = len(pinned)
+    best = min(best, length - fixed_of[1].count(0) - max(Counter(keys_of[1]).values()))
+    if k == 2:
+        return best
+    pad = bytes(256 - order)  # a translate table has 256 entries
+    by_c1 = [mul[x] for x in keys_of[1]]
+    over_c1 = bytearray(len(by_c1) * order)  # entry j * Q + c1: column j's key at c1
+    for lead in range(2, k):
         keys, rest = keys_of[lead], fixed_of[lead]
-        best = min(best, length - rest.count(0) - max(Counter(keys).values()))
         digits = [0] * lead
         steps = [1] * lead
-        for _ in range(order ** (lead - 1) - 1):
-            # the lowest digit above c0 that can still move in its direction
-            # moves; the digits below it are at an end and turn around
-            i = 1
-            while not 0 <= digits[i] + steps[i] < order:
-                steps[i] = -steps[i]
-                i += 1
-            old = digits[i]
-            digits[i] = old + steps[i]
-            scaled = mul[F.sub(digits[i], old)]
-            keys = [add[x][scaled[y]] for x, y in zip(keys, keys_of[i])]
-            rest = [add[x][scaled[y]] for x, y in zip(rest, fixed_of[i])]
-            weight = length - rest.count(0) - max(Counter(keys).values())
+        for base in range(order ** (lead - 2)):
+            if base:
+                # the lowest digit above c1 that can still move in its
+                # direction moves; the digits below it are at an end and
+                # turn around
+                i = 2
+                while not 0 <= digits[i] + steps[i] < order:
+                    steps[i] = -steps[i]
+                    i += 1
+                old = digits[i]
+                digits[i] = old + steps[i]
+                scaled = mul[F.sub(digits[i], old)]
+                keys = [add[x][scaled[y]] for x, y in zip(keys, keys_of[i])]
+                rest = [add[x][scaled[y]] for x, y in zip(rest, fixed_of[i])]
+            start = 0
+            for m, x in zip(by_c1, keys):
+                over_c1[start:start + order] = m.translate(add[x] + pad)
+                start += order
+            most = [max(Counter(over_c1[c1::order]).values()) for c1 in range(order)]
+            for c1 in rest[:n_pinned]:
+                most[c1] += 1
+            weight = length - rest[n_pinned:].count(0) - max(most)
             if weight < best:
                 best = weight
     return best

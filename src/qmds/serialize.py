@@ -10,7 +10,8 @@ additionally carries the generator matrix (row-major), the quantum
 parameters, a provenance tag and the multiplier witnesses; a code file
 that carries the generator, the quantum parameters or the provenance tag
 must carry the ones its code fields give, and witnesses must give its
-multipliers (and, for the extended family, satisfy gamma_i^(q+1) = -w_i).
+multipliers (and, for the extended family, hold one gamma and one w per
+point, a monic m_coeffs and gamma_i^(q+1) = -w_i).
 
 The modulus and the generator choice are both deterministic functions of
 (p, e), so a parsed field is checked against the canonical modulus: a
@@ -136,8 +137,11 @@ def _check_witnesses(obj: dict, code: GRSCode) -> None:
     """The witnesses key of a code file is optional, but when present must
     hold exactly the keys the code's provenance records, each a list of
     field elements, and must give the code's multipliers through
-    reconstruct_multipliers under that provenance; an extended code's w,
-    which that ignores, must give gamma_i**(q+1) == -w_i at every point."""
+    reconstruct_multipliers under that provenance.  An extended code's
+    gamma and w must hold one entry per point and its m_coeffs must be
+    monic with no trailing zero, because reconstruct_multipliers zips gamma
+    with the points, trims m and ignores w; w must then give
+    gamma_i**(q+1) == -w_i at every point."""
     if "witnesses" not in obj:
         return
     shipped = obj["witnesses"]
@@ -157,15 +161,18 @@ def _check_witnesses(obj: dict, code: GRSCode) -> None:
             check_elements(F, shipped[key], key)
         except ValueError:
             raise FormatError(f"'witnesses' key {key!r} must be a list of field elements") from None
+    if code.extended:  # reconstruct_multipliers zips gamma with the points and trims m
+        for key in ("gamma", "w"):
+            if len(shipped[key]) != code.n:
+                raise FormatError(
+                    f"'witnesses' key {key!r} must hold {code.n} entries, one per point")
+        if shipped["m_coeffs"][-1:] != [1]:
+            raise FormatError("'witnesses' key 'm_coeffs' must be monic, its last entry 1")
     if reconstruct_multipliers(F, code.a, provenance, shipped) != code.v:
         named = ", ".join(map(repr, keys))
         raise FormatError(f"'witnesses' ({named}) do not give the multipliers 'v'")
-    if not code.extended:
-        return  # the multipliers were built from w itself
-    w = shipped["w"]
-    if len(w) != code.n:
-        raise FormatError(f"'witnesses' key 'w' must hold {code.n} entries, one per point")
-    if any(F.norm(g) != F.neg(x) for g, x in zip(shipped["gamma"], w)):
+    if code.extended and any(
+            F.norm(g) != F.neg(x) for g, x in zip(shipped["gamma"], shipped["w"])):
         raise FormatError("'witnesses' key 'w' does not satisfy gamma_i^(q+1) = -w_i")
 
 

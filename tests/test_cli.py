@@ -200,6 +200,13 @@ def test_verify_checks_the_shipped_witnesses(tmp_path, capsys, argv, provenance)
         ({**good["witnesses"], "x": []}, f"'witnesses' key 'x' is not one {provenance!r} records"),
         ([0], "'witnesses' must be a dict"),
     ]
+    if extended:  # reconstruct_multipliers zips gamma with the points and trims m
+        cases += [
+            ({**good["witnesses"], "gamma": good["witnesses"]["gamma"] + [1]},
+             f"'witnesses' key 'gamma' must hold {len(good['a'])} entries, one per point"),
+            ({**good["witnesses"], "m_coeffs": good["witnesses"]["m_coeffs"] + [0]},
+             "'witnesses' key 'm_coeffs' must be monic, its last entry 1"),
+        ]
     for witnesses, message in cases:
         serialize.save({**good, "witnesses": witnesses}, str(path))
         rc, out, err = run(capsys, ["verify", str(path)])

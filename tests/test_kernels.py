@@ -4,20 +4,24 @@ every k-column subset by an elimination on the field's methods, and the
 minimum weight over all Q^k messages.  Neither reference reads the lookup
 tables that the kernels and `linalg` share.
 
-The codes are random over GF(4), GF(9), GF(16) and GF(17^2) at k <= 3, and
-at the sizes the default sweep ranks: k = 4 and 5 over GF(25) and GF(64),
-and k = 3 over GF(17^2), where only the rank test has a reference that
-finishes.  GF(17^2) has 289 elements, past `LOOKUP_TABLE_MAX_ORDER`, so the
+The codes are random over GF(4), GF(9), GF(16) and GF(17^2) at k <= 3,
+over GF(9) and GF(16) at k = 4, and at the sizes the default sweep ranks:
+k = 4 and 5 over GF(25) and GF(64), and k = 3 over GF(17^2), where only
+the rank test has a reference that finishes.  GF(17^2) has 289 elements, past `LOOKUP_TABLE_MAX_ORDER`, so the
 kernels run on the field's methods there.  The mix holds GRS codes (MDS),
 random matrices, and codes with a duplicated or a scaled duplicate column
 (not MDS once k >= 2).
 
-The targeted tests after them aim at the last level of each kernel, which
-closes in one pass: pairs of 2-coordinate residues compared by projective
-key (the rank test), and the Q words b + c0 * row_0 of one base word b
-read off one histogram (brute force).  Two more aim at the rank test's
-walk: columns whose first coordinate vanishes, which it moves last, and
-a single singular subset at the very end of the walk.
+The targeted tests after them aim at the levels each kernel settles in
+bulk: pairs of 2-coordinate residues compared by projective key (the rank
+test); the Q words b + c0 * row_0 of one word b read off one histogram,
+and from lead 2 on the Q values of c1 of one base laid out by one
+translate per column (brute force).  The brute-force ones place the one
+minimum word at c0 = 0 or not, at c1 != 0, in each base of the walk over
+c2, and on columns where row_0 vanishes, at one c1 or at every c1.  Two
+more aim at the rank test's walk: columns whose first coordinate
+vanishes, which it moves last, and a single singular subset at the very
+end of the walk.
 """
 
 import itertools
@@ -29,6 +33,7 @@ import pytest
 from qmds.construct import additive_coset_code
 from qmds.field import LOOKUP_TABLE_MAX_ORDER, make_field
 from qmds.grs import (
+    BRUTE_FORCE_CAP,
     GRSCode,
     LinearCode,
     as_linear_code,
@@ -38,13 +43,16 @@ from qmds.grs import (
 
 FIELDS = {"GF(4)": (2, 1), "GF(9)": (3, 1), "GF(16)": (2, 2), "GF(289)": (17, 1)}
 
-# (field, smallest k, largest k) for each differential case: every k up to
-# 3 (2 past the byte tables), then the k the default sweep ranks, where a
-# pivot step runs on the byte tables and, at GF(289), on the method views.
+# (field, smallest k, largest k, codes) for each differential case: every k
+# up to 3 (2 past the byte tables); k = 4 over GF(9) and GF(16), where brute
+# force walks c2 in Gray order and settles c1 in bulk; then the k the default
+# sweep ranks, where a pivot step runs on the byte tables and, at GF(289),
+# on the method views.
 KERNEL_CASES = {
-    "GF(4)": ((2, 1), 1, 3), "GF(9)": ((3, 1), 1, 3), "GF(16)": ((2, 2), 1, 3),
-    "GF(289)": ((17, 1), 1, 2),
-    "GF(25)-k4-5": ((5, 1), 4, 5), "GF(64)-k4-5": ((2, 3), 4, 5), "GF(289)-k3": ((17, 1), 3, 3),
+    "GF(4)": ((2, 1), 1, 3, 40), "GF(9)": ((3, 1), 1, 3, 40), "GF(16)": ((2, 2), 1, 3, 40),
+    "GF(289)": ((17, 1), 1, 2, 12), "GF(9)-k4": ((3, 1), 4, 4, 40),
+    "GF(16)-k4": ((2, 2), 4, 4, 12), "GF(25)-k4-5": ((5, 1), 4, 5, 40),
+    "GF(64)-k4-5": ((2, 3), 4, 5, 40), "GF(289)-k3": ((17, 1), 3, 3, 12),
 }
 
 #: Largest message count reference_distance enumerates in these tests.
@@ -77,17 +85,15 @@ def reference_mds(code):
 
 
 def reference_distance(code):
+    """The least weight over the words of all Q^k messages, added up on
+    the field's methods; messages that share their higher coordinates
+    share that partial sum."""
     F = code.field
-    scaled = [[[F.mul(c, x) for x in row] for c in range(F.order)] for row in code.rows]
-    best = code.length
-    for msg in itertools.product(range(F.order), repeat=code.k):
-        if not any(msg):
-            continue
-        word = [0] * code.length
-        for c, table in zip(msg, scaled):
-            word = [F.add(x, y) for x, y in zip(word, table[c])]
-        best = min(best, code.length - word.count(0))
-    return best
+    words = [[0] * code.length]
+    for row in reversed(code.rows):
+        scaled = [[F.mul(c, x) for x in row] for c in range(F.order)]
+        words = [[F.add(x, y) for x, y in zip(w, s)] for w in words for s in scaled]
+    return min(code.length - w.count(0) for w in words[1:])
 
 
 def random_code(F, rng, max_k, min_k=1):
@@ -116,12 +122,11 @@ def random_code(F, rng, max_k, min_k=1):
 
 @pytest.mark.parametrize("name", KERNEL_CASES)
 def test_kernels_agree_with_the_references(name):
-    (p, e), min_k, max_k = KERNEL_CASES[name]
+    (p, e), min_k, max_k, codes = KERNEL_CASES[name]
     F = make_field(p, e)
-    small = F.order <= LOOKUP_TABLE_MAX_ORDER
     rng = random.Random(F.order)
     verdicts = []
-    for _ in range(40 if small else 12):
+    for _ in range(codes):
         code, kind = random_code(F, rng, max_k, min_k)
         mds = reference_mds(code)
         assert is_mds_by_rank(code) == mds, (kind, code.rows)
@@ -166,6 +171,33 @@ def test_bruteforce_memory_does_not_grow_with_the_field():
     assert peak < 20 * 2 ** 20
 
 
+def test_bruteforce_holds_one_base_of_keys_over_c1():
+    # [81, 3] over GF(81): the one lead-2 base holds 81 * 81 key bytes,
+    # about 7 KB, and each padded add row lives only for its translate;
+    # the call peaks near 19 KB.  Keeping the 81 padded rows (43 KB), the
+    # 81 translates beside the bytes they are joined into (37 KB), or one
+    # histogram of all 81 * 81 keys would pass 32 KB.
+    F = make_field(3, 2)
+    code = as_linear_code(GRSCode(F, range(81), [1] * 81, 3))
+    tracemalloc.start()
+    try:
+        assert min_distance_bruteforce(code) == 79
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 10
+
+
+def test_bruteforce_cap_keeps_lead_2_on_the_byte_tables():
+    # From lead 2 on, min_distance_bruteforce maps the bytes rows of
+    # op_tables with bytes.translate, and lead 2 needs k >= 3.
+    assert (LOOKUP_TABLE_MAX_ORDER + 1) ** 3 > BRUTE_FORCE_CAP, (
+        "BRUTE_FORCE_CAP now admits k = 3 on fields past LOOKUP_TABLE_MAX_ORDER, "
+        "whose op_tables are method views with no bytes rows: give the c1 pass "
+        "of min_distance_bruteforce a path for the views, or raise "
+        "LOOKUP_TABLE_MAX_ORDER with the cap")
+
+
 # ----------------------------------------------------------------------
 # The closed last level of each kernel
 # ----------------------------------------------------------------------
@@ -179,25 +211,28 @@ def dependent_subsets(code, size):
             if reference_rank(F, [[row[c] for c in cols] for row in code.rows]) < size]
 
 
+def minimum_messages(code):
+    """Every message (c0, c1, ...) whose highest nonzero coordinate is 1
+    and whose word has the least weight."""
+    F, distance = code.field, reference_distance(code)
+    out = set()
+    for msg in itertools.product(range(F.order), repeat=code.k):
+        nonzero = [c for c in msg if c]
+        if not nonzero or nonzero[-1] != 1:
+            continue
+        word = [0] * code.length
+        for c, row in zip(msg, code.rows):
+            word = [F.add(x, F.mul(c, y)) for x, y in zip(word, row)]
+        if code.length - word.count(0) == distance:
+            out.add(msg)
+    return out
+
+
 def minimum_c0(code):
     """The c0 of every minimum-weight word whose highest nonzero message
     coordinate is 1 and is not c0 itself: the words the kernel reads off
     its histograms."""
-    F, distance = code.field, reference_distance(code)
-    out = set()
-    for msg in itertools.product(range(F.order), repeat=code.k - 1):
-        for lead in range(1, code.k):
-            if msg[lead - 1] == 1 and not any(msg[lead:]):
-                break
-        else:
-            continue
-        for c0 in range(F.order):
-            word = [0] * code.length
-            for c, row in zip((c0,) + msg, code.rows):
-                word = [F.add(x, F.mul(c, y)) for x, y in zip(word, row)]
-            if code.length - word.count(0) == distance:
-                out.add(c0)
-    return out
+    return {msg[0] for msg in minimum_messages(code) if any(msg[1:])}
 
 
 def test_rank_finds_a_dependent_triple_as_two_proportional_residues():
@@ -367,6 +402,64 @@ def test_bruteforce_minimum_reached_only_at_c0_nonzero():
     code = LinearCode(F, [[1, x, 1, x, 1], [1, 1, 1, 1, 1]])
     assert reference_distance(code) == 2 and minimum_c0(code) == {F.neg(1)}
     assert min_distance_bruteforce(code) == 2
+
+
+def test_bruteforce_counts_a_fixed_column_at_the_one_c1_where_it_vanishes():
+    # row_0 vanishes at column 0 and row_1 does not, so at lead 2 column 0
+    # vanishes for every c0 at c1 = -row_2[0] / row_1[0] = x and at no
+    # other c1.  The one minimum word, of message (1, x, 1), has weight 3
+    # only with that zero counted.
+    F = F9
+    x = F.generator
+    code = LinearCode(F, [[0, 7, 6, 1, 4, 1],
+                          [1, 0, 8, 1, 3, 1],
+                          [F.neg(x), 3, 4, 4, 2, 1]])
+    assert reference_distance(code) == 3 and minimum_messages(code) == {(1, x, 1)}
+    assert min_distance_bruteforce(code) == 3
+
+
+def test_bruteforce_counts_a_fixed_column_that_vanishes_at_every_c1():
+    # row_0 and row_1 vanish at column 0, so at lead 3 column 0 is zero at
+    # every (c1, c0) of the base c2 = -row_3[0] / row_2[0] = x.  The one
+    # minimum word, of message (6, 3, x, 1), has weight 3 only with that
+    # zero counted.
+    F = F9
+    x = F.generator
+    code = LinearCode(F, [[0, 2, 8, 6, 4, 4, 1],
+                          [0, 4, 1, 3, 5, 2, 5],
+                          [1, 6, 0, 1, 2, 3, 0],
+                          [F.neg(x), 8, 1, 0, 1, 3, 1]])
+    assert reference_distance(code) == 3 and minimum_messages(code) == {(6, 3, x, 1)}
+    assert min_distance_bruteforce(code) == 3
+
+
+def test_bruteforce_minimum_reached_only_at_c1_and_c0_nonzero():
+    # At lead 2, in the one base: the one minimum word is of message
+    # (2, 2, 1), whose c0 and c1 are both nonzero.
+    code = LinearCode(F9, [[2, 4, 1, 1, 5, 7],
+                           [8, 1, 5, 6, 5, 3],
+                           [8, 7, 7, 8, 4, 0]])
+    assert reference_distance(code) == 3 and minimum_messages(code) == {(2, 2, 1)}
+    assert min_distance_bruteforce(code) == 3
+
+
+def test_bruteforce_minimum_reached_in_each_base_of_the_c2_walk():
+    # At lead 3 the one minimum word is of message (5, 3, x, 1).  Adding
+    # (x - c2) * row_2 to row_3 moves it to the base c2 of the Gray walk
+    # and keeps the code, so each base holds it in turn, always at nonzero
+    # c1 and c0.
+    F = F9
+    x = F.generator
+    rows = [[1, 0, 3, 5, 2, 3, 3],
+            [7, 6, 6, 0, 6, 6, 0],
+            [2, 7, 1, 4, 2, 7, 8],
+            [7, 8, 0, 0, 7, 5, 4]]
+    for c2 in range(F.order):
+        shift = F.sub(x, c2)
+        code = LinearCode(F, rows[:3] + [[F.add(a, F.mul(shift, b))
+                                          for a, b in zip(rows[3], rows[2])]])
+        assert reference_distance(code) == 2 and minimum_messages(code) == {(5, 3, c2, 1)}
+        assert min_distance_bruteforce(code) == 2, c2
 
 
 def test_closed_levels_on_the_method_views():
