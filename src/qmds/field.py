@@ -54,10 +54,12 @@ MAX_ELEMENT_BOUND = 2 ** 16
 
 #: Largest field whose add/mul tables `FieldTower.op_tables` stores as byte
 #: rows: every element then fits in one byte, and a table is at most 64 KB.
-#: Above it op_tables are views that call the methods.  The root-free search
-#: (`poly._root_free_candidates`) then computes its block images in bulk in
-#: the log domain, but its sieve marks, its irreducibility test and its
-#: discriminant filter still read the views, one method call per lookup.
+#: Above it op_tables are views that call the methods.  Up to it the
+#: root-free search (`poly._block_images`) takes each block image in one
+#: C-level pass over the byte rows; above it the search computes its block
+#: images in bulk in the log domain, but its sieve marks, its
+#: irreducibility test and its discriminant filter still read the views,
+#: one method call per lookup.
 LOOKUP_TABLE_MAX_ORDER = 256
 
 

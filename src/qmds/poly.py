@@ -17,16 +17,18 @@ lists as well, and builds a `Poly` only for the one it returns.  The
 kernels, evaluation and the search read the field's `op_tables`.
 The search evaluates each block of Q candidates, which differ only in the
 constant term, once at every field element and reads the root-free
-candidates off the block's image.  Up to 256 elements it reads the byte
-tables point by point; on a larger tower it computes the image in bulk,
-with C-level passes over all the units in the log domain.  The
+candidates off the block's image.  Up to 256 elements a block takes a
+few C-level passes over the byte tables; on a larger tower the image is
+computed in bulk, with C-level passes over all the units in the log
+domain, and the first block, g = x**l, is read off the logs.  The
 irreducibility test steps x**(Q**i) mod f by one matrix-vector product
 each, through the matrix of the GF(Q)-linear map h -> h**Q mod f.  Once
-its failed tests have cost about as much as sieving, the search sieves
-out the candidates with an irreducible quadratic factor, one superblock
-of Q**2 candidates at a time, and at degree 6 also the products of two
-cubics.  Up to degree 6 a root-free candidate the sieve leaves is
-irreducible; above, its test starts at factor degree 3.  Over a tower of
+the failed tests of one superblock of Q**2 candidates have cost about as
+much as sieving it, the search marks the candidates of that superblock
+with an irreducible quadratic factor, and at degree 6 also the products
+of two cubics.  Up to degree 6 a root-free candidate the sieve leaves is
+irreducible, so the superblock's answer is read off its marks a block at
+a time; above, its test starts at factor degree 3.  Over a tower of
 odd order the search also drops a candidate whose discriminant's
 quadratic character proves it reducible, by Stickelberger's parity
 theorem (Stickelberger 1897; Swan, "Factorization of polynomials over
@@ -41,6 +43,7 @@ from __future__ import annotations
 import collections
 import functools
 import itertools
+import math
 import operator
 from typing import (
     TYPE_CHECKING, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple,
@@ -177,16 +180,21 @@ def _product(
 
     Given a tail, a * b mod f instead, where f has degree d = len(tail) and
     x**d == tail[0] + tail[1] x + ... + tail[d-1] x**(d-1) (mod f): a and b
-    are then residues padded to length d, and so is the result."""
+    are then residues padded to length d, and so is the result.  A square
+    (b is a) in characteristic 2 is the squares of a's coefficients at
+    doubled exponents, since the cross terms 2 a_i a_j vanish."""
     if not a or not b:
         return []
     add, mul = F.op_tables
     out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            row = mul[x]
-            for j, y in enumerate(b, i):
-                out[j] = add[out[j]][row[y]]
+    if b is a and F.p == 2:
+        out[::2] = [mul[x][x] for x in a]
+    else:
+        for i, x in enumerate(a):
+            if x:
+                row = mul[x]
+                for j, y in enumerate(b, i):
+                    out[j] = add[out[j]][row[y]]
     if tail is None:
         return out
     d = len(tail)
@@ -342,6 +350,28 @@ def _discriminant_parity(
     return parity
 
 
+def _superblocks(Q: int, degree: int) -> Iterator[List[Element]]:
+    """[c_2, ..., c_(l-1), 1] for each superblock of the monic candidates of
+    the degree, the Q**2 of them that share these coefficients, in
+    enumeration order (c_2 fastest-varying)."""
+    for digits in itertools.product(range(Q), repeat=degree - 2):
+        yield list(digits[::-1]) + [1]
+
+
+def _block_images(F: FieldTower | PrimeField) -> Callable[[List[Element]], bytes]:
+    """The function that marks a block's root-free candidates: for upper =
+    [c_1, ..., c_(l-1), 1] it returns free, where free[c_0] == 1 iff g +
+    c_0 is root-free, g = x**l + ... + c_1 x.  A tower of more than
+    LOOKUP_TABLE_MAX_ORDER elements computes each image in bulk in the log
+    domain (`_bulk_root_free`); smaller towers and GF(p) read their byte
+    tables (`_table_root_free`), which measured faster there."""
+    from .field import LOOKUP_TABLE_MAX_ORDER, FieldTower  # see root_free_monic
+
+    if isinstance(F, FieldTower) and F.order > LOOKUP_TABLE_MAX_ORDER:
+        return _bulk_root_free(F)
+    return _table_root_free(F)
+
+
 def _root_free_candidates(
     F: FieldTower | PrimeField, degree: int
 ) -> Iterator[Tuple[Element, List[Element]]]:
@@ -352,68 +382,112 @@ def _root_free_candidates(
     Each block of Q consecutive candidates shares c_1..c_(l-1), so g =
     x**l + ... + c_1 x is evaluated once at every element, per block.  The
     candidate g + c_0 is root-free iff -c_0 is not in the image of g, and a
-    block whose image is the whole field holds no root-free candidate.  A
-    tower of more than LOOKUP_TABLE_MAX_ORDER elements computes each image
-    in bulk (`_bulk_root_free`); smaller towers and GF(p) evaluate g point
-    by point (`_table_root_free`), which measured faster there.
+    block whose image is the whole field holds no root-free candidate.
     """
-    from .field import LOOKUP_TABLE_MAX_ORDER, FieldTower  # see root_free_monic
-
-    Q = F.order
-    if isinstance(F, FieldTower) and Q > LOOKUP_TABLE_MAX_ORDER:
-        root_free = _bulk_root_free(F)
-    else:
-        root_free = _table_root_free(F)
+    root_free = _block_images(F)
     elems = F.elements()
-    for block in range(Q ** (degree - 1)):
-        upper = []  # c_1, ..., c_(l-1): the digits of the block index
-        m = block
-        for _ in range(degree - 1):
-            m, c = divmod(m, Q)
-            upper.append(c)
-        upper.append(1)
-        yield from zip(itertools.compress(elems, root_free(upper)), itertools.repeat(upper))
+    for high in _superblocks(F.order, degree):
+        for c1 in elems:
+            upper = [c1] + high
+            yield from zip(itertools.compress(elems, root_free(upper)), itertools.repeat(upper))
+
+
+#: The `bytes.translate` table that keeps 0 and sends every other byte to 1.
+_NONZERO = bytes(1) + b"\1" * 255
 
 
 def _table_root_free(
     F: FieldTower | PrimeField,
-) -> Callable[[List[Element]], bytearray]:
-    """The function that marks a block's root-free candidates: for upper =
-    [c_1, ..., c_(l-1), 1] it returns free, where free[c_0] == 1 iff g +
-    c_0 is root-free, g = x**l + ... + c_1 x.  This one runs Horner's rule
-    at each point on the field's `op_tables`."""
+) -> Callable[[List[Element]], bytes]:
+    """`_block_images` on the `op_tables` of GF(p) or of a tower of at most
+    LOOKUP_TABLE_MAX_ORDER elements.
+
+    -g(x) == -x**2 h(x) - c_1 x, where h = x**(l-2) + c_(l-1) x**(l-3) +
+    ... + c_2 is Horner's value before "+ c_1", so it is the same for
+    every block of a superblock.  Once per superblock, Horner's rule on the
+    tables gives h(x) at every point, and the add row of -x**2 h(x) is
+    kept.  A block is then one C-level pass over the points, in which the
+    mul row of -c_1 gives -c_1 x and each point's kept row adds
+    -x**2 h(x).  Where an element fits in a byte, two byte translations
+    turn these values into the marks: the elements go through a table that
+    sends each value to 0, then through `_NONZERO`.  Every other element is
+    sent to itself first, and is nonzero, since c_0 = 0 is the value at
+    x = 0.  GF(p) past 256 elements, which only an element bound above
+    MAX_ELEMENT_BOUND admits, clears each value's mark in turn instead."""
     add, mul = F.op_tables
     neg = mul[F.neg(1)]  # neg[c] == -c
-    points = [(x, neg[x]) for x in F.elements()]
+    elems = F.elements()
+    codes = bytes(elems) if F.order <= 256 else None
+    zeros = bytes(F.order)
+    high: Optional[List[Element]] = None
+    shifts: List[Sequence[Element]] = []  # shifts[x] == add[-x**2 h(x)]
 
-    def root_free(upper: List[Element]) -> bytearray:
-        horner = upper[-2::-1]  # c_(l-1), ..., c_1
-        free = bytearray(b"\1") * F.order
-        for x, minus_x in points:
-            acc = 1
-            for c in horner:
-                acc = add[mul[acc][x]][c]
-            free[mul[acc][minus_x]] = 0  # -g(x) == acc * -x
-        return free
+    def root_free(upper: List[Element]) -> bytes:
+        nonlocal high, shifts
+        if upper[1:] != high:
+            high = upper[1:]
+            horner = high[-2::-1]  # c_(l-1), ..., c_2
+            shifts = []
+            for x in elems:
+                acc = 1
+                for c in horner:
+                    acc = add[mul[acc][x]][c]
+                shifts.append(add[mul[mul[acc][x]][neg[x]]])
+        values = map(operator.getitem, shifts, mul[neg[upper[0]]])
+        if codes is None:
+            free = bytearray(b"\1") * F.order
+            # deque(..., 0) drains the marking map in C; it yields only Nones
+            collections.deque(map(free.__setitem__, values, itertools.repeat(0)), 0)
+            return bytes(free)
+        return codes.translate(bytes.maketrans(bytes(values), zeros)).translate(_NONZERO)
 
     return root_free
 
 
-def _bulk_root_free(F: FieldTower) -> Callable[[List[Element]], bytearray]:
-    """`_table_root_free` in bulk, for a tower of any order: each Horner
+def _bulk_root_free(F: FieldTower) -> Callable[[List[Element]], bytes]:
+    """`_block_images` in bulk, for a tower of any order.
+
+    A unit is held as its discrete log i (generator**i, whose code is
+    i + 1).  Block 0 of every search is g = x**l, whose values at the
+    units are the logs divisible by gcd(l, Q - 1), so its marks are a
+    pattern of that period, read off the logs with no evaluation.  Every
+    other block goes to `_log_images`, whose index tables are built at the
+    first such block, so a search that ends in block 0 never builds them.
+    """
+    M = F.order - 1
+    shift = F.neg(1) - 1  # -generator**i == generator**(i + shift)
+    images: Optional[Callable[[List[Element]], bytes]] = None
+
+    def root_free(upper: List[Element]) -> bytes:
+        nonlocal images
+        if any(upper[:-1]):
+            if images is None:
+                images = _log_images(F)
+            return images(upper)
+        # -c_0 == generator**(i + shift) for c_0 == generator**i is a value
+        # of g iff gcd(l, M) divides i + shift
+        d = math.gcd(len(upper), M)
+        period = b"\0" + b"\1" * (d - 1)
+        turn = shift % d
+        return bytes(1) + (period[turn:] + period[:turn]) * (M // d)
+
+    return root_free
+
+
+def _log_images(F: FieldTower) -> Callable[[List[Element]], bytes]:
+    """`_block_images` for any block of a tower of any order: each Horner
     step maps all Q - 1 units at once through an index table, a few C-level
     passes per block instead of a Python loop over the points.
 
-    A unit is held as its discrete log i (generator**i, whose code is
-    i + 1) and zero as Z = 2Q - 3, which no sum of two logs reaches.  A
-    product is then one lookup, prod[a + b], and adding c == generator**j
-    one lookup in a row read off the Zech list rotated by j, since
-    generator**i + c == c * (1 + generator**(i - j)).  Horner's rule runs
-    (...((x + c_(l-1)) x + c_(l-2)) x ... + c_1) x, and the part before
-    "+ c_1" is kept while c_2..c_(l-1) stay the same.  x = 0 is a root of
-    every g, so it is left out, and c_0 = 0 is never root-free.  The
-    tables are arrays of 2-byte entries up to Q = 2**15, so a search at
-    Q = 2**14 holds about 0.2 MB of them.
+    A unit is held as its discrete log i and zero as Z = 2Q - 3, which no
+    sum of two logs reaches.  A product is then one lookup, prod[a + b],
+    and adding c == generator**j one lookup in a row read off the Zech list
+    rotated by j, since generator**i + c == c * (1 + generator**(i - j)).
+    Horner's rule runs (...((x + c_(l-1)) x + c_(l-2)) x ... + c_1) x, and
+    the part before "+ c_1" is kept while c_2..c_(l-1) stay the same.
+    x = 0 is a root of every g, so it is left out, and c_0 = 0 is never
+    root-free.  The tables are arrays of 2-byte entries up to Q = 2**15, so
+    a search at Q = 2**14 holds about 0.2 MB of them.
     """
     from array import array  # here: no other path needs the module at start-up
 
@@ -448,7 +522,7 @@ def _bulk_root_free(F: FieldTower) -> Callable[[List[Element]], bytearray]:
     high: List[Element] = []
     head: Sequence[int] = logs  # Horner's value at each unit x before "+ c_1"
 
-    def root_free(upper: List[Element]) -> bytearray:
+    def root_free(upper: List[Element]) -> bytes:
         nonlocal high, head
         if upper[1:] != high:
             high = upper[1:]
@@ -486,17 +560,21 @@ def _quadratic_factor_marks(
     neg = mul[F.neg(1)]  # neg[c] == -c
     minus_g = [mul[neg[c]] if c else None for c in high]
     marks = bytearray((Q * Q + 7) // 8)
-    for a, (b, _) in _root_free_candidates(F, 2):
-        step_b, step_a = mul[neg[b]], mul[neg[a]]
-        U, V = 1, 0
-        A = B = 0
-        for row in minus_g:
-            U, V = add[V][step_b[U]], step_a[U]
-            if row is not None:
-                A = add[A][row[U]]
-                B = add[B][row[V]]
-        i = A * Q + B
-        marks[i >> 3] |= 1 << (i & 7)
+    root_free = _block_images(F)
+    elems = F.elements()
+    for b in elems:
+        step_b = mul[neg[b]]
+        for a in itertools.compress(elems, root_free([b, 1])):
+            step_a = mul[neg[a]]
+            U, V = 1, 0
+            A = B = 0
+            for row in minus_g:
+                U, V = add[V][step_b[U]], step_a[U]
+                if row is not None:
+                    A = add[A][row[U]]
+                    B = add[B][row[V]]
+            i = A * Q + B
+            marks[i >> 3] |= 1 << (i & 7)
     return marks
 
 
@@ -537,20 +615,43 @@ def _cubic_pair_marks(F: FieldTower | PrimeField, high: Sequence[Element]) -> by
     return marks
 
 
+def _sieve_marks(F: FieldTower | PrimeField, high: Sequence[Element]) -> int:
+    """A superblock's sieve marks as one int: bit c_1 * Q + c_0 is set iff
+    the candidate has a monic irreducible quadratic factor
+    (`_quadratic_factor_marks`) or, at degree 6, is a product of two monic
+    cubics (`_cubic_pair_marks`).  Bit c_0 of marks >> c_1 * Q is then the
+    mark of c_0 in block c_1."""
+    marks = int.from_bytes(_quadratic_factor_marks(F, high), "little")
+    if len(high) == 5:
+        marks |= int.from_bytes(_cubic_pair_marks(F, high), "little")
+    return marks
+
+
+_ASCII_BITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _bits(flags: bytes) -> int:
+    """The int whose bit i is flags[i], for nonempty flags of 0s and 1s."""
+    return int(flags.translate(_ASCII_BITS)[::-1], 2)
+
+
 #: Largest field order the search sieves over: a superblock's marks take
 #: Q**2 / 8 bytes, 2 MB at Q = 4096 and 32 MB at Q = 16384.
 SIEVE_MAX_ORDER = 4096
 
 
 def _tests_before_sieve(Q: int) -> float:
-    """Failed irreducibility tests after which the search starts sieving:
-    about as many as the marks of one superblock cost.  Q**2 / 64 is within
-    a factor of 2 of the measured ratio (one set of marks took the time of
-    40-80 tests at Q = 64, 660-1,240 at Q = 256 and 13,000-33,000 at Q =
-    1024).  A search that ends within this many failures never sieves,
-    and one that sieves has first spent about one round of marks on
-    failed tests, so it costs at most about twice what testing alone
-    would.  Above SIEVE_MAX_ORDER the search never sieves."""
+    """Failed irreducibility tests after which the search sieves a
+    superblock: about as many as sieving it costs, its marks and the
+    read-off of all Q of its blocks.  That cost, in failed tests of the
+    same superblocks, measured about Q**2 / 64 at degree 4, Q**2 / 122 at
+    degree 5 and Q**2 / 38 at degree 6 (geometric means over Q = 64, 81,
+    121 and 256; 92-96 tests at (Q, l) = (64, 4), 1,200-1,220 at
+    (256, 4)), so Q**2 / 64 is within a factor of 2 at each degree.  A superblock whose answer comes within
+    this many failures is never sieved, and one that is sieved has first
+    spent about one sieve on failed tests, so it costs at most about twice
+    what the cheaper of testing alone and sieving at once would.  Above
+    SIEVE_MAX_ORDER the search never sieves."""
     return Q * Q // 64 if Q <= SIEVE_MAX_ORDER else float("inf")
 
 
@@ -559,26 +660,30 @@ def root_free_monic(field: FieldTower | PrimeField, degree: int) -> Poly:
     """First monic irreducible polynomial of the given degree >= 2,
     enumerating coefficients in ascending order with the constant term
     fastest-varying.  An irreducible polynomial of degree >= 2 has no root
-    in the field, so only the root-free candidates of
-    `_root_free_candidates` are tried; at degree 2 or 3 the first of them
-    is the answer.  Those come from each block's image, read off the byte
-    tables up to 256 elements and computed in bulk on larger towers.
+    in the field, so only the root-free candidates are tried, read off
+    each block's image (`_block_images`); at degree 2 or 3 the first of
+    them is the answer.
 
     The same search finds the scaling polynomial over a FieldTower and the
     tower's own modulus over its PrimeField, so this enumeration order
     fixes every element encoding.
 
-    Above degree 3 the root-free candidates go to the irreducibility test
-    in order, from factor degree 2 on, and most searches end within a few
-    tests.  Once `_tests_before_sieve` of them have failed, the search
-    sieves: each superblock of Q**2 candidates that share c_2..c_(l-1)
-    gets `_quadratic_factor_marks`, recomputed per superblock rather than
-    kept, so memory stays level, and a marked candidate is skipped.  At
-    degree 6 the superblock also gets `_cubic_pair_marks`: a root-free
+    Above degree 3 the search runs superblock by superblock, the Q**2
+    candidates that share c_2..c_(l-1).  Its root-free candidates go to
+    the irreducibility test in order, from factor degree 2 on, and most
+    searches end within a few tests.  Once `_tests_before_sieve` of them
+    have failed in one superblock, the search sieves that superblock: it
+    marks the candidates with a quadratic factor, and at degree 6 the
+    products of two cubics as well (`_sieve_marks`), recomputed per
+    superblock rather than kept, so memory stays level.  A root-free
     sextic has no linear factor, so it splits as 2+2+2, 2+4 or 3+3, and
     the two sets of marks see all three.  Up to degree 6 an unmarked
-    root-free candidate is irreducible; above, it still goes to the test,
-    from factor degree 3 on.
+    root-free candidate is therefore irreducible: the answer is the first
+    one from the current candidate on, found a block at a time as the
+    block's root-free bits less its marks, and the superblock's
+    candidates are not walked one by one.  Above degree 6 an unmarked
+    root-free candidate still goes to the test, from factor degree 3 on.
+    The next superblock starts again with a full budget of tests.
 
     Over a tower of odd order, a candidate goes to the test only if its
     discriminant is nonzero with the quadratic character
@@ -598,35 +703,39 @@ def root_free_monic(field: FieldTower | PrimeField, degree: int) -> Poly:
     from .field import FieldTower  # here: the field module imports this one
 
     F = field
+    if degree <= 3:
+        c0, upper = next(_root_free_candidates(F, degree))
+        return Poly(F, [c0] + upper)
     Q = F.order
-    failures_left = _tests_before_sieve(Q)
-    high = marks = None
+    root_free = _block_images(F)
     disc_parity = None
-    if degree > 3 and Q % 2 and isinstance(F, FieldTower):
+    if Q % 2 and isinstance(F, FieldTower):
         disc_parity = _discriminant_parity(F, degree)
-    for c0, upper in _root_free_candidates(F, degree):
-        if degree <= 3:
-            return Poly(F, [c0] + upper)
-        # the least degree an irreducible factor of the candidate can have
-        least = 2
-        if failures_left <= 0:
-            if upper[1:] != high:
-                high = upper[1:]
-                marks = _quadratic_factor_marks(F, high)
-                if degree == 6:
-                    marks = bytearray(map(operator.or_, marks, _cubic_pair_marks(F, high)))
-            i = upper[0] * Q + c0
-            if marks[i >> 3] >> (i & 7) & 1:
-                continue
-            if degree <= 6:
-                return Poly(F, [c0] + upper)
-            least = 3
-        coeffs = [c0] + upper
-        if disc_parity is not None and disc_parity(coeffs) != (degree - 1) & 1:
-            continue
-        if _irreducible_from(F, coeffs, least):
-            return Poly(F, coeffs)
-        failures_left -= 1
+    budget = _tests_before_sieve(Q)
+    for high in _superblocks(Q, degree):
+        failures_left = budget
+        marks = None
+        for c1 in range(Q):
+            upper = [c1] + high
+            left = _bits(root_free(upper))  # bit c_0: a candidate still to try
+            if marks is not None:
+                left &= ~(marks >> c1 * Q)
+            while left:
+                if marks is None and failures_left <= 0:
+                    marks = _sieve_marks(F, high)
+                    left &= ~(marks >> c1 * Q)
+                    continue
+                coeffs = [(left & -left).bit_length() - 1] + upper
+                left &= left - 1
+                if marks is not None and degree <= 6:
+                    return Poly(F, coeffs)
+                if disc_parity is not None and disc_parity(coeffs) != (degree - 1) & 1:
+                    continue
+                # a root-free candidate has no factor of degree 1, and one
+                # the sieve leaves none of degree 2
+                if _irreducible_from(F, coeffs, 2 if marks is None else 3):
+                    return Poly(F, coeffs)
+                failures_left -= 1
     raise RuntimeError("no irreducible polynomial found")  # cannot happen
 
 

@@ -11,7 +11,8 @@ parameters, a provenance tag and the multiplier witnesses; a code file
 that carries the generator, the quantum parameters or the provenance tag
 must carry the ones its code fields give, and witnesses must give its
 multipliers (and, for the extended family, hold one gamma and one w per
-point, a monic m_coeffs and gamma_i^(q+1) = -w_i).
+point, a monic m_coeffs of the scaling polynomial's degree and
+gamma_i^(q+1) = -w_i).
 
 The modulus and the generator choice are both deterministic functions of
 (p, e), so a parsed field is checked against the canonical modulus: a
@@ -24,6 +25,7 @@ import json
 from typing import IO, Union
 
 from .construct import (
+    PROVENANCE_EXTENDED_SPECIAL,
     WITNESS_KEYS,
     ConstructionResult,
     QuantumParams,
@@ -140,15 +142,16 @@ def _check_witnesses(obj: dict, code: GRSCode) -> None:
     reconstruct_multipliers under that provenance.  An extended code's
     gamma and w must hold one entry per point and its m_coeffs must be
     monic with no trailing zero, because reconstruct_multipliers zips gamma
-    with the points, trims m and ignores w; w must then give
-    gamma_i**(q+1) == -w_i at every point."""
+    with the points, trims m and ignores w; m must have the degree of the
+    scaling polynomial, t+1-k, or q for x**q + x - pi on the special
+    corner, and w must give gamma_i**(q+1) == -w_i at every point."""
     if "witnesses" not in obj:
         return
     shipped = obj["witnesses"]
     if type(shipped) is not dict:
         raise FormatError("'witnesses' must be a dict")
     F = code.field
-    _, provenance = design_of(code)
+    t, provenance = design_of(code)
     keys = WITNESS_KEYS[provenance]
     for key in [*keys, *(key for key in shipped if key not in keys)]:
         if key not in keys:
@@ -166,8 +169,11 @@ def _check_witnesses(obj: dict, code: GRSCode) -> None:
             if len(shipped[key]) != code.n:
                 raise FormatError(
                     f"'witnesses' key {key!r} must hold {code.n} entries, one per point")
-        if shipped["m_coeffs"][-1:] != [1]:
-            raise FormatError("'witnesses' key 'm_coeffs' must be monic, its last entry 1")
+        degree = F.q if provenance == PROVENANCE_EXTENDED_SPECIAL else t + 1 - code.k
+        m = shipped["m_coeffs"]
+        if m[-1:] != [1] or len(m) != degree + 1:
+            raise FormatError(
+                f"'witnesses' key 'm_coeffs' must be monic of degree {degree}, its last entry 1")
     if reconstruct_multipliers(F, code.a, provenance, shipped) != code.v:
         named = ", ".join(map(repr, keys))
         raise FormatError(f"'witnesses' ({named}) do not give the multipliers 'v'")

@@ -11,8 +11,10 @@ import qmds
 import qmds.verify
 from qmds import serialize
 from qmds.cli import main
+from qmds.construct import reconstruct_multipliers
 from qmds.field import make_field
-from qmds.grs import GRSCode
+from qmds.grs import GRSCode, generator_matrix
+from qmds.poly import Poly
 
 
 def run(capsys, argv):
@@ -190,6 +192,9 @@ def test_verify_checks_the_shipped_witnesses(tmp_path, capsys, argv, provenance)
     extended = provenance != "theorem1"
     short = f"'witnesses' key 'w' must hold {len(good['a'])} entries, one per point"
     off_norm = "'witnesses' key 'w' does not satisfy gamma_i^(q+1) = -w_i"
+    # m is t+1-k = 2 at (q, t, k) = (5, 3, 2), and x**q + x - pi on the special corner
+    degree = 5 if provenance == "prop1-special" else 2
+    wrong_m = f"'witnesses' key 'm_coeffs' must be monic of degree {degree}, its last entry 1"
     cases = [
         ({"w": [0]}, mismatch if provenance == "theorem1" else "'witnesses' key 'm_coeffs' is missing"),
         (tampered(last, 0, (good["witnesses"][last][0] + 1) % order), mismatch),
@@ -204,13 +209,25 @@ def test_verify_checks_the_shipped_witnesses(tmp_path, capsys, argv, provenance)
         cases += [
             ({**good["witnesses"], "gamma": good["witnesses"]["gamma"] + [1]},
              f"'witnesses' key 'gamma' must hold {len(good['a'])} entries, one per point"),
-            ({**good["witnesses"], "m_coeffs": good["witnesses"]["m_coeffs"] + [0]},
-             "'witnesses' key 'm_coeffs' must be monic, its last entry 1"),
+            ({**good["witnesses"], "m_coeffs": good["witnesses"]["m_coeffs"] + [0]}, wrong_m),
         ]
     for witnesses, message in cases:
         serialize.save({**good, "witnesses": witnesses}, str(path))
         rc, out, err = run(capsys, ["verify", str(path)])
         assert (rc, out, err) == (2, "", f"invalid parameters: {message}\n"), witnesses
+    if extended:
+        # a monic cubic without a root on the points, with v and the generator
+        # rebuilt from it: the file is consistent but for the degree of m
+        code = serialize.code_from_obj(good)
+        F = code.field
+        cubic = next([c, 0, 0, 1] for c in range(1, order)
+                     if all(Poly(F, [c, 0, 0, 1])(x) for x in code.a))
+        witnesses = {**good["witnesses"], "m_coeffs": cubic}
+        v = reconstruct_multipliers(F, code.a, provenance, witnesses)
+        generator = [list(row) for row in generator_matrix(GRSCode(F, code.a, v, code.k, True))]
+        serialize.save({**good, "v": list(v), "generator": generator, "witnesses": witnesses},
+                       str(path))
+        assert run(capsys, ["verify", str(path)]) == (2, "", f"invalid parameters: {wrong_m}\n")
     del good["witnesses"]  # the key is optional
     serialize.save(good, str(path))
     assert run(capsys, ["verify", str(path)])[0] == 0

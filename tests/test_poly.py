@@ -87,7 +87,8 @@ def test_divmod_invariant(F):
 
 # -- the coefficient-list kernels against schoolbook arithmetic ----------
 
-KERNEL_FIELDS = [PrimeField(2), PrimeField(3), PrimeField(251), F9, F256, F289]
+KERNEL_FIELDS = [PrimeField(2), PrimeField(3), PrimeField(251), F9, F256, F289,
+                 make_field(2, 5)]
 
 
 def schoolbook_ops(F):
@@ -136,8 +137,9 @@ def schoolbook_mulmod(F, a, b, f):
 @pytest.mark.parametrize("F", KERNEL_FIELDS, ids=lambda F: f"{type(F).__name__}{F.order}")
 def test_kernels_match_schoolbook_arithmetic(F):
     """_product, _remainder with and without the quotient, _product with a
-    tail (mulmod) and _power, on zero operands, short dividends and
-    divisors whose leading coefficient is not 1."""
+    tail (mulmod) and _power, on zero operands, short dividends, divisors
+    whose leading coefficient is not 1, and squares, which take their own
+    path in characteristic 2."""
     rng = random.Random(F.order)
     _, mul = schoolbook_ops(F)
 
@@ -147,6 +149,7 @@ def test_kernels_match_schoolbook_arithmetic(F):
     for _ in range(40):
         a, b = coeffs(rng.randrange(7)), coeffs(rng.randrange(7))
         assert _product(F, a, b) == schoolbook_product(F, a, b)
+        assert _product(F, a, a) == schoolbook_product(F, a, a)
         assert _product(F, [0] * len(a), b) == [0] * len(schoolbook_product(F, a, b))
 
         divisor = coeffs(rng.randrange(1, 5)) + [rng.randrange(1, F.order)]
@@ -162,6 +165,7 @@ def test_kernels_match_schoolbook_arithmetic(F):
         tail = [mul(minus_lc_inv, c) for c in f[:-1]]
         x, y = coeffs(d), coeffs(d)
         assert _product(F, x, y, tail) == schoolbook_mulmod(F, x, y, f)
+        assert _product(F, x, x, tail) == schoolbook_mulmod(F, x, x, f)
         assert _product(F, [0] * d, y, tail) == [0] * d
         for m in (1, 2, 3, F.order, rng.randrange(1, 300)):
             expected = x
@@ -334,18 +338,34 @@ def test_root_free_monic_is_the_first_reference_irreducible(F, deg):
 
 def reference_root_free(F, upper):
     """The c_0 with x**l + ... + c_1 x + c_0 root-free, for upper = [c_1,
-    ..., c_(l-1), 1], by evaluating at every point with the field's methods."""
+    ..., c_(l-1), 1], by evaluating at every point with `schoolbook_ops`."""
+    add, mul = schoolbook_ops(F)
     image = set()
     for x in F.elements():
         acc = 0
         for c in reversed(upper):
-            acc = F.mul(F.add(acc, c), x)
+            acc = mul(add(acc, c), x)
         image.add(acc)
     return [c0 for c0 in F.elements() if F.neg(c0) not in image]
 
 
 def block_index(F, upper):
     return sum(c * F.order ** i for i, c in enumerate(upper[:-1]))
+
+
+def sample_blocks(F, degree, rng):
+    """Blocks of one superblock and the next: g = x**l, blocks whose middle
+    coefficients are zero, random ones, and two that share c_2..c_(l-1)."""
+    Q = F.order
+    blocks = [[0] * (degree - 1) + [1], [1] + [0] * (degree - 2) + [1],
+              [Q - 1] + [0] * (degree - 2) + [1]]
+    if degree > 2:
+        blocks.append([rng.randrange(Q)] + [0] * (degree - 3) + [rng.randrange(1, Q), 1])
+        blocks.append([0] * (degree - 2) + [rng.randrange(1, Q), 1])
+    for _ in range(3):
+        blocks.append([rng.randrange(Q) for _ in range(degree - 1)] + [1])
+    blocks.append([rng.randrange(Q)] + blocks[-1][1:])
+    return blocks
 
 
 # towers past the byte tables, where the search computes its images in bulk
@@ -356,18 +376,36 @@ BULK_FIELDS = [make_field(17, 1), make_field(5, 2), make_field(3, 3), make_field
 @pytest.mark.parametrize("degree", [2, 3, 4])
 def test_bulk_root_free_matches_evaluation_at_every_point(F, degree):
     rng = random.Random(F.order * 10 + degree)
-    Q = F.order
-    blocks = [[0] * (degree - 1) + [1]]  # g = x**l
-    if degree > 2:  # a zero middle coefficient
-        blocks.append([rng.randrange(1, Q)] + [0] * (degree - 3) + [rng.randrange(1, Q), 1])
-    for _ in range(4):  # random ones, two sharing c_2..c_(l-1)
-        blocks.append([rng.randrange(Q) for _ in range(degree - 1)] + [1])
-    blocks.append([rng.randrange(Q)] + blocks[-1][1:])
     root_free = poly._bulk_root_free(F)
-    for upper in blocks:
+    for upper in sample_blocks(F, degree, rng):
         free = root_free(upper)
-        assert len(free) == Q
+        assert len(free) == F.order
         assert [c0 for c0 in F.elements() if free[c0]] == reference_root_free(F, upper), upper
+
+
+@pytest.mark.parametrize("F", BULK_FIELDS + [make_field(2, 7), make_field(127, 1)],
+                         ids=lambda F: f"F{F.order}")
+def test_binomial_block_matches_a_full_pass(F, monkeypatch):
+    # block 0, g = x**l, is read off the logs; every later block needs the
+    # index tables of `_log_images`, built once, at the first such block
+    built = []
+    log_images = poly._log_images
+
+    def counting(F):
+        built.append(F)
+        return log_images(F)
+
+    monkeypatch.setattr(poly, "_log_images", counting)
+    full = log_images(F)
+    for degree in range(2, 7):
+        root_free = poly._bulk_root_free(F)
+        binomial = [0] * (degree - 1) + [1]
+        assert root_free(binomial) == full(binomial), degree
+        assert built == []
+        assert root_free([1] + binomial[1:]) == full([1] + binomial[1:])
+        root_free([2] + binomial[1:])
+        assert built == [F]
+        built.clear()
 
 
 @pytest.mark.parametrize("F", BULK_FIELDS, ids=lambda F: f"F{F.order}")
@@ -393,6 +431,24 @@ def test_bulk_and_table_root_free_agree_on_every_small_block(F):
         for digits in itertools.product(range(F.order), repeat=degree - 1):
             upper = list(digits) + [1]
             assert bulk(upper) == table(upper), upper
+
+
+# every tower with byte tables, and GF(p) as the modulus search sees it;
+# GF(257), whose rows are tuples, only under an element bound past 2**16
+TABLE_FIELDS = [make_field(p, e) for p, e in ((2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2),
+                                                  (5, 1), (7, 1), (11, 1), (13, 1))]
+TABLE_FIELDS += [PrimeField(p) for p in (2, 3, 5, 7, 127, 251, 257)]
+
+
+@pytest.mark.parametrize("F", TABLE_FIELDS, ids=lambda F: f"{type(F).__name__}{F.order}")
+def test_table_root_free_matches_evaluation_at_every_point(F):
+    rng = random.Random(F.order)
+    for degree in range(2, 6):
+        root_free = poly._table_root_free(F)
+        for upper in sample_blocks(F, degree, rng):
+            free = root_free(upper)
+            assert len(free) == F.order
+            assert [c0 for c0 in F.elements() if free[c0]] == reference_root_free(F, upper), upper
 
 
 def test_bulk_root_free_on_four_byte_tables():
@@ -476,6 +532,42 @@ def test_the_pinned_sextic_is_unmarked_in_its_own_superblock():
     for marks in (_quadratic_factor_marks(F, high), _cubic_pair_marks(F, high)):
         assert not marks[i >> 3] >> (i & 7) & 1
         assert any(marks)
+
+
+@pytest.mark.parametrize("F,degree,count", [
+    (F4, 4, 16), (F4, 5, 8), (F4, 6, 8),
+    (F9, 4, 6), (F9, 5, 4), (F9, 6, 2),
+    (F16, 4, 2), (F16, 5, 2), (F16, 6, 3),
+], ids=lambda v: f"F{v.order}" if hasattr(v, "order") else str(v))
+def test_sieve_leaves_exactly_the_irreducible_candidates(F, degree, count):
+    # A superblock as the search reads it once sieved: a block's root-free
+    # bits less its marks.  A candidate is left iff no monic linear factor
+    # and no monic irreducible quadratic divides it and, at degree 6, it is
+    # no product of two monic cubics; up to degree 6 that is iff it is
+    # irreducible.  On F16 the products of cubics (about a million pairs
+    # to multiply per superblock) are left to the irreducibility test.
+    rng = random.Random(F.order * degree + 1)
+    Q = F.order
+    linear = [Poly(F, (F.neg(a), 1)) for a in F.elements()]
+    root_free = poly._block_images(F)
+    seen = set()
+    for high in superblock_highs(F, degree, count, rng):
+        marks = poly._sieve_marks(F, high)
+        explicit = degree < 6 or Q < 16
+        if explicit:
+            quadratic = reference_quadratic_factor_marks(F, high)
+            cubic_pairs = reference_cubic_pair_marks(F, high) if degree == 6 else set()
+        for c1 in range(Q):
+            left = poly._bits(root_free([c1, *high])) & ~(marks >> c1 * Q)
+            for c0 in range(Q):
+                f = Poly(F, (c0, c1) + high)
+                kept = bool(left >> c0 & 1)
+                seen.add(kept)
+                assert kept == is_irreducible(f), f
+                if explicit:
+                    assert kept != (any((f % r).is_zero() for r in linear)
+                                    or quadratic[c1 * Q + c0] or (c1, c0) in cubic_pairs), f
+    assert seen == {False, True}
 
 
 def sextics(F):
@@ -584,21 +676,24 @@ def test_discriminant_parity_on_random_products(F):
 # polynomial of degree d with r irreducible factors has a square
 # discriminant iff d - r is even), and a drop counts as no failed test: at
 # (9, 6) the filter drops 2,360 of the 2,361 root-free candidates up to
-# the answer, and at (13, 5) the first one.  The sieve starts after
-# Q**2 // 64 failed tests: 1,024 at Q = 256, 102 at Q = 81, 64 at Q = 64.
+# the answer, and at (13, 5) the first one.  Each superblock sieves after
+# Q**2 // 64 failed tests of its own: 1,024 at Q = 256 and 64 at Q = 64.
+# The first superblock of (16, 4), (8, 4) and (8, 6) holds no irreducible
+# polynomial: it is sieved after its budget, and its marks leave no
+# candidate.  The second starts with a full budget.  Its answer is the
+# 129th root-free candidate at (16, 4), within the budget, and the 22nd at
+# (8, 6); at (8, 4) it is the 81st, so that superblock is sieved too.
 # Testing every root-free candidate up to the answer would take 16,449
-# calls at (16, 4), 1,089 at (8, 4) and 1,387 at (8, 6).  At degree 6 the
-# sieve also marks the products of two cubics, the one way left for a
-# root-free sextic to split once its quadratic factors are marked, so the
-# (8, 6) search returns the first unmarked candidate after its 64 failed
-# tests without testing it.
+# calls at (16, 4), 1,089 at (8, 4) and 1,387 at (8, 6).  Up to degree 6
+# an unmarked root-free candidate is irreducible, so a sieved superblock
+# returns its first one without testing it.
 IRREDUCIBILITY_TESTS = {
-    (16, 4): (1024, 0),
-    (8, 4): (64, 0),
+    (16, 4): (1153, 0),
+    (8, 4): (128, 0),
     (13, 5): (1, 0),
     (7, 5): (1, 0),
     (9, 6): (1, 0),
-    (8, 6): (64, 0),
+    (8, 6): (86, 0),
 }
 
 
