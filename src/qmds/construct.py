@@ -16,8 +16,11 @@ build each design once per (field, t) and share it, with its gamma, among
 the codes of every k.  Each constructor records the witnesses (w, and for
 family two m and gamma) and builds the multipliers from them with
 reconstruct_multipliers, the one place the multiplier formulas are
-written; verify_construction re-runs it, and so does `qmds verify` on the
-witnesses a code file carries.
+written.  witness_error is the one place the rules for valid witnesses
+are written: verify_construction reads its verdict in process, and
+load_code on the witnesses a code file carries, so `qmds construct` and
+`qmds verify` apply the same rules.  scaling_degree is the one place the
+degree of m is written.
 A ConstructionResult keeps only the code and its witnesses: the
 provenance tag and t come from the code through design_of, the quantum
 parameters through QuantumParams.from_classical, and provenance_of is the
@@ -39,7 +42,7 @@ from .field import (
     field_for_prime_power,
 )
 from .grs import GRSCode
-from .poly import Poly, root_free_monic
+from .poly import Poly, check_elements, root_free_monic
 
 #: Provenance tokens carried by serialized results.
 PROVENANCE_ADDITIVE = "theorem1"
@@ -356,8 +359,18 @@ def special_scaling_poly(field: FieldTower) -> Poly:
     return Poly(field, [field.neg(field.generator), 1] + [0] * (q - 2) + [1])
 
 
+def scaling_degree(q: int, t: int, k: int) -> int:
+    """Degree of the extended family's scaling polynomial: t+1-k, or q for
+    special_scaling_poly on the corner (t, k) = (q-1, q-1).  t+1-k is at
+    most q-1, so only the corner reaches degree q."""
+    if provenance_of(q, t, k, extended=True) == PROVENANCE_EXTENDED_SPECIAL:
+        return q
+    return t + 1 - k
+
+
 def select_scaling_poly(design: MultiplicativeCosetDesign, k: int) -> Poly:
-    """Monic polynomial of degree t+1-k that vanishes at no evaluation point.
+    """Monic polynomial of degree scaling_degree that vanishes at no
+    evaluation point.
 
     Degree >= 2: the first root-free monic polynomial.  Degree 1: x minus
     the first unused field element (one exists since the points do not
@@ -368,8 +381,8 @@ def select_scaling_poly(design: MultiplicativeCosetDesign, k: int) -> Poly:
     F = design.field
     q, t = F.q, design.t
     check_admissible(q, FAMILY_EXTENDED, t, k)
-    ell = t + 1 - k
-    if provenance_of(q, t, k, extended=True) == PROVENANCE_EXTENDED_SPECIAL:
+    ell = scaling_degree(q, t, k)
+    if ell == q:
         return special_scaling_poly(F)
     if ell == 0:
         return Poly.one(F)
@@ -425,7 +438,7 @@ def reconstruct_multipliers(
     witnesses: Dict[str, List[Element]],
 ) -> Optional[Tuple[Element, ...]]:
     """The multipliers v that the witnesses fix on these points: the
-    constructors build v with this function, and the verifier compares its
+    constructors build v with this function, and witness_error compares its
     output with code.v.
 
     Additive family: v_i solves the norm equation
@@ -448,3 +461,53 @@ def reconstruct_multipliers(
         unit = F.solve_norm(F.inv(F.from_int(2)))
         v = [F.mul(unit, x) for x in v]
     return tuple(v)
+
+
+def witness_error(code: GRSCode, witnesses: object) -> Optional[str]:
+    """None when the witnesses certify the code's multipliers, else a
+    message naming the fault and the key.  verify_construction and
+    load_code both read their witness verdict from here.
+
+    The witnesses must be a dict holding exactly the keys the code's
+    provenance records, each a list of field elements, and must give the
+    code's v through reconstruct_multipliers.  An extended code's gamma
+    and w must hold one entry per point and its m_coeffs must be monic of
+    scaling_degree, its leading 1 last, because reconstruct_multipliers
+    zips gamma with the points, trims m and ignores w; w must then give
+    gamma_i**(q+1) == -w_i at every point.  The corner (t, k) = (q-1, q-1)
+    in even characteristic has no witnesses: its unit of norm 1/2 does not
+    exist."""
+    if type(witnesses) is not dict:
+        return "'witnesses' must be a dict"
+    F = code.field
+    t, provenance = design_of(code)
+    if provenance == PROVENANCE_EXTENDED_SPECIAL and F.q % 2 == 0:
+        return ("'witnesses' give no multipliers: t = k = q-1 is excluded "
+                "in even characteristic")
+    keys = WITNESS_KEYS[provenance]
+    for key in [*keys, *(key for key in witnesses if key not in keys)]:
+        if key not in keys:
+            return f"'witnesses' key {key!r} is not one {provenance!r} records"
+        if key not in witnesses:
+            return f"'witnesses' key {key!r} is missing"
+        try:
+            if type(witnesses[key]) is not list:
+                raise ValueError
+            check_elements(F, witnesses[key], key)
+        except ValueError:
+            return f"'witnesses' key {key!r} must be a list of field elements"
+    if code.extended:
+        for key in ("gamma", "w"):
+            if len(witnesses[key]) != code.n:
+                return f"'witnesses' key {key!r} must hold {code.n} entries, one per point"
+        degree = scaling_degree(F.q, t, code.k)
+        m = witnesses["m_coeffs"]
+        if m[-1:] != [1] or len(m) != degree + 1:
+            return f"'witnesses' key 'm_coeffs' must be monic of degree {degree}, its last entry 1"
+    if reconstruct_multipliers(F, code.a, provenance, witnesses) != code.v:
+        named = ", ".join(map(repr, keys))
+        return f"'witnesses' ({named}) do not give the multipliers 'v'"
+    if code.extended and any(
+            F.norm(g) != F.neg(x) for g, x in zip(witnesses["gamma"], witnesses["w"])):
+        return "'witnesses' key 'w' does not satisfy gamma_i^(q+1) = -w_i"
+    return None

@@ -372,26 +372,6 @@ def _block_images(F: FieldTower | PrimeField) -> Callable[[List[Element]], bytes
     return _table_root_free(F)
 
 
-def _root_free_candidates(
-    F: FieldTower | PrimeField, degree: int
-) -> Iterator[Tuple[Element, List[Element]]]:
-    """Yield (c_0, [c_1, ..., c_(l-1), 1]) for every monic root-free
-    polynomial of the degree, with the constant term fastest-varying.  One
-    list is shared by the candidates of a block; callers must not change it.
-
-    Each block of Q consecutive candidates shares c_1..c_(l-1), so g =
-    x**l + ... + c_1 x is evaluated once at every element, per block.  The
-    candidate g + c_0 is root-free iff -c_0 is not in the image of g, and a
-    block whose image is the whole field holds no root-free candidate.
-    """
-    root_free = _block_images(F)
-    elems = F.elements()
-    for high in _superblocks(F.order, degree):
-        for c1 in elems:
-            upper = [c1] + high
-            yield from zip(itertools.compress(elems, root_free(upper)), itertools.repeat(upper))
-
-
 #: The `bytes.translate` table that keeps 0 and sends every other byte to 1.
 _NONZERO = bytes(1) + b"\1" * 255
 
@@ -668,8 +648,8 @@ def root_free_monic(field: FieldTower | PrimeField, degree: int) -> Poly:
     tower's own modulus over its PrimeField, so this enumeration order
     fixes every element encoding.
 
-    Above degree 3 the search runs superblock by superblock, the Q**2
-    candidates that share c_2..c_(l-1).  Its root-free candidates go to
+    The search runs superblock by superblock, the Q**2 candidates that
+    share c_2..c_(l-1).  Above degree 3 its root-free candidates go to
     the irreducibility test in order, from factor degree 2 on, and most
     searches end within a few tests.  Once `_tests_before_sieve` of them
     have failed in one superblock, the search sieves that superblock: it
@@ -703,9 +683,6 @@ def root_free_monic(field: FieldTower | PrimeField, degree: int) -> Poly:
     from .field import FieldTower  # here: the field module imports this one
 
     F = field
-    if degree <= 3:
-        c0, upper = next(_root_free_candidates(F, degree))
-        return Poly(F, [c0] + upper)
     Q = F.order
     root_free = _block_images(F)
     disc_parity = None
@@ -721,6 +698,10 @@ def root_free_monic(field: FieldTower | PrimeField, degree: int) -> Poly:
             if marks is not None:
                 left &= ~(marks >> c1 * Q)
             while left:
+                # a root-free quadratic or cubic is irreducible; answered
+                # before the sieve, which at Q = 2 runs at once and marks them
+                if degree <= 3:
+                    return Poly(F, [(left & -left).bit_length() - 1] + upper)
                 if marks is None and failures_left <= 0:
                     marks = _sieve_marks(F, high)
                     left &= ~(marks >> c1 * Q)

@@ -9,10 +9,8 @@ FormatError, never truncated or coerced.  A construction result
 additionally carries the generator matrix (row-major), the quantum
 parameters, a provenance tag and the multiplier witnesses; a code file
 that carries the generator, the quantum parameters or the provenance tag
-must carry the ones its code fields give, and witnesses must give its
-multipliers (and, for the extended family, hold one gamma and one w per
-point, a monic m_coeffs of the scaling polynomial's degree and
-gamma_i^(q+1) = -w_i).
+must carry the ones its code fields give, and witnesses must pass
+construct.witness_error, the check verify_construction makes in process.
 
 The modulus and the generator choice are both deterministic functions of
 (p, e), so a parsed field is checked against the canonical modulus: a
@@ -24,17 +22,9 @@ from __future__ import annotations
 import json
 from typing import IO, Union
 
-from .construct import (
-    PROVENANCE_EXTENDED_SPECIAL,
-    WITNESS_KEYS,
-    ConstructionResult,
-    QuantumParams,
-    design_of,
-    reconstruct_multipliers,
-)
+from .construct import ConstructionResult, QuantumParams, design_of, witness_error
 from .field import DEFAULT_ELEMENT_BOUND, FieldTower, make_field
 from .grs import GRSCode, generator_matrix
-from .poly import check_elements
 
 
 class FormatError(ValueError):
@@ -135,53 +125,6 @@ def _check_shipped(obj: dict, code: GRSCode) -> None:
         raise FormatError(f"'provenance' is not {provenance!r}, the one the code fields give")
 
 
-def _check_witnesses(obj: dict, code: GRSCode) -> None:
-    """The witnesses key of a code file is optional, but when present must
-    hold exactly the keys the code's provenance records, each a list of
-    field elements, and must give the code's multipliers through
-    reconstruct_multipliers under that provenance.  An extended code's
-    gamma and w must hold one entry per point and its m_coeffs must be
-    monic with no trailing zero, because reconstruct_multipliers zips gamma
-    with the points, trims m and ignores w; m must have the degree of the
-    scaling polynomial, t+1-k, or q for x**q + x - pi on the special
-    corner, and w must give gamma_i**(q+1) == -w_i at every point."""
-    if "witnesses" not in obj:
-        return
-    shipped = obj["witnesses"]
-    if type(shipped) is not dict:
-        raise FormatError("'witnesses' must be a dict")
-    F = code.field
-    t, provenance = design_of(code)
-    keys = WITNESS_KEYS[provenance]
-    for key in [*keys, *(key for key in shipped if key not in keys)]:
-        if key not in keys:
-            raise FormatError(f"'witnesses' key {key!r} is not one {provenance!r} records")
-        if key not in shipped:
-            raise FormatError(f"'witnesses' key {key!r} is missing")
-        try:
-            if type(shipped[key]) is not list:
-                raise ValueError
-            check_elements(F, shipped[key], key)
-        except ValueError:
-            raise FormatError(f"'witnesses' key {key!r} must be a list of field elements") from None
-    if code.extended:  # reconstruct_multipliers zips gamma with the points and trims m
-        for key in ("gamma", "w"):
-            if len(shipped[key]) != code.n:
-                raise FormatError(
-                    f"'witnesses' key {key!r} must hold {code.n} entries, one per point")
-        degree = F.q if provenance == PROVENANCE_EXTENDED_SPECIAL else t + 1 - code.k
-        m = shipped["m_coeffs"]
-        if m[-1:] != [1] or len(m) != degree + 1:
-            raise FormatError(
-                f"'witnesses' key 'm_coeffs' must be monic of degree {degree}, its last entry 1")
-    if reconstruct_multipliers(F, code.a, provenance, shipped) != code.v:
-        named = ", ".join(map(repr, keys))
-        raise FormatError(f"'witnesses' ({named}) do not give the multipliers 'v'")
-    if code.extended and any(
-            F.norm(g) != F.neg(x) for g, x in zip(shipped["gamma"], shipped["w"])):
-        raise FormatError("'witnesses' key 'w' does not satisfy gamma_i^(q+1) = -w_i")
-
-
 def load_code(path: str, element_bound: int = DEFAULT_ELEMENT_BOUND) -> GRSCode:
     """Parse and check a code file; raises FormatError for schema or
     invariant violations and OSError for filesystem problems."""
@@ -192,7 +135,9 @@ def load_code(path: str, element_bound: int = DEFAULT_ELEMENT_BOUND) -> GRSCode:
             raise FormatError(f"malformed JSON: {exc}") from exc
     code = code_from_obj(obj, element_bound)
     _check_shipped(obj, code)
-    _check_witnesses(obj, code)
+    message = witness_error(code, obj["witnesses"]) if "witnesses" in obj else None
+    if message:
+        raise FormatError(message)
     return code
 
 

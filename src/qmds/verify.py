@@ -12,11 +12,13 @@ runs a strategy ladder on the code it is given (brute force while the code
 has at most BRUTE_FORCE_CAP codewords, then the k-column rank test while
 the subset count fits RANK_TEST_CAP, otherwise the MDS status certified by
 the GRS construction is recorded as such).  A construction's witnesses
-must reproduce its multipliers through construct.reconstruct_multipliers,
-the function the constructors build them with, under the provenance
-construct.design_of reads off the code.  Quantum parameters and
-provenance are functions of the code, so no construction can claim other
-ones.
+must pass construct.witness_error, the one witness check, which
+load_code makes on a file too: among its rules, they must reproduce the
+multipliers through construct.reconstruct_multipliers, the function the
+constructors build them with, under the provenance construct.design_of
+reads off the code.  A witness fault fails the report and never raises.
+Quantum parameters and provenance are functions of the code, so no
+construction can claim other ones.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .construct import (
     multiplicative_coset_code,
     reconstruct_multipliers,
     special_scaling_poly,
+    witness_error,
 )
 from .field import DEFAULT_ELEMENT_BOUND, FieldTower, field_for_prime_power, make_field
 from .grs import (
@@ -165,13 +168,13 @@ def verify_code(code: GRSCode, identity: str = "code") -> VerificationReport:
 
 
 def verify_construction(result: ConstructionResult) -> VerificationReport:
-    """verify_code plus the witness check: under the code's provenance, the
-    witnesses reproduce its multipliers."""
+    """verify_code plus the witness check: a report with a witness fault
+    that construct.witness_error names, the check load_code makes on a
+    file, fails."""
     code = result.code
     t, provenance = design_of(code)
     report = verify_code(code, f"{provenance} q={code.field.q} t={t} k={code.k}")
-    v = reconstruct_multipliers(code.field, code.a, provenance, result.witnesses)
-    return report._replace(singleton_equality=v == code.v)
+    return report._replace(singleton_equality=witness_error(code, result.witnesses) is None)
 
 
 # ----------------------------------------------------------------------

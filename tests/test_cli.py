@@ -11,7 +11,7 @@ import qmds
 import qmds.verify
 from qmds import serialize
 from qmds.cli import main
-from qmds.construct import reconstruct_multipliers
+from qmds.construct import ConstructionResult, reconstruct_multipliers
 from qmds.field import make_field
 from qmds.grs import GRSCode, generator_matrix
 from qmds.poly import Poly
@@ -231,6 +231,75 @@ def test_verify_checks_the_shipped_witnesses(tmp_path, capsys, argv, provenance)
     del good["witnesses"]  # the key is optional
     serialize.save(good, str(path))
     assert run(capsys, ["verify", str(path)])[0] == 0
+
+
+@pytest.mark.parametrize(
+    "argv, provenance",
+    [
+        (["theorem1", "--q", "3", "--t", "3", "--k", "2"], "theorem1"),
+        (["theorem2", "--q", "5", "--t", "3", "--d", "3"], "prop1-general"),
+        (["theorem2", "--q", "5", "--t", "4", "--d", "5"], "prop1-special"),
+    ],
+)
+def test_verify_construction_fails_on_the_witnesses_verify_rejects(tmp_path, capsys, argv,
+                                                                   provenance):
+    # every witness case of test_verify_checks_the_shipped_witnesses, in
+    # process: the report fails, and a bad witness never raises
+    path = tmp_path / "code.json"
+    assert run(capsys, ["construct", *argv, "--out", str(path)])[0] == 0
+    good = json.loads(path.read_text())
+    code = serialize.code_from_obj(good)
+    F = code.field
+    keys = tuple(good["witnesses"])
+
+    def tampered(key, i, x):
+        witnesses = {name: list(val) for name, val in good["witnesses"].items()}
+        witnesses[key][i] = x
+        return witnesses
+
+    last = keys[-1]
+    cases = [
+        (code, {"w": [0]}),
+        (code, tampered(last, 0, (good["witnesses"][last][0] + 1) % F.order)),
+        (code, tampered("w", 0, (good["witnesses"]["w"][0] + 1) % F.order)),
+        (code, {**good["witnesses"], "w": good["witnesses"]["w"][:3]}),
+        (code, tampered(last, -1, F.order)),
+        (code, tampered("w", 0, True)),
+        (code, {**good["witnesses"], "x": []}),
+        (code, [0]),
+    ]
+    if code.extended:
+        cubic = next([c, 0, 0, 1] for c in range(1, F.order)
+                     if all(Poly(F, [c, 0, 0, 1])(x) for x in code.a))
+        witnesses = {**good["witnesses"], "m_coeffs": cubic}
+        v = reconstruct_multipliers(F, code.a, provenance, witnesses)
+        cases += [
+            (code, {**good["witnesses"], "gamma": good["witnesses"]["gamma"] + [1]}),
+            (code, {**good["witnesses"], "m_coeffs": good["witnesses"]["m_coeffs"] + [0]}),
+            (GRSCode(F, code.a, v, code.k, True), witnesses),
+        ]
+    assert qmds.verify.verify_construction(ConstructionResult(code, good["witnesses"])).passed
+    for case_code, witnesses in cases:
+        report = qmds.verify.verify_construction(ConstructionResult(case_code, witnesses))
+        assert not report.passed and not report.singleton_equality, witnesses
+
+
+def test_the_even_characteristic_corner_has_no_witnesses(tmp_path, capsys):
+    # at (q, t, k) = (4, 3, 3) the special multiplier needs a unit of norm
+    # 1/2, and 2 == 0: both routes report the corner, neither divides by 2
+    path = tmp_path / "code.json"
+    argv = ["construct", "theorem2", "--q", "4", "--t", "3", "--d", "3", "--out", str(path)]
+    assert run(capsys, argv)[0] == 0
+    obj = json.loads(path.read_text())
+    for key in ("generator", "quantum", "provenance"):
+        del obj[key]
+    obj["k"] = 3
+    obj["witnesses"]["m_coeffs"] = [1, 0, 0, 0, 1]
+    serialize.save(obj, str(path))
+    message = "'witnesses' give no multipliers: t = k = q-1 is excluded in even characteristic"
+    assert run(capsys, ["verify", str(path)]) == (2, "", f"invalid parameters: {message}\n")
+    result = ConstructionResult(serialize.code_from_obj(obj), obj["witnesses"])
+    assert not qmds.verify.verify_construction(result).passed
 
 
 @pytest.mark.parametrize(

@@ -349,10 +349,6 @@ def reference_root_free(F, upper):
     return [c0 for c0 in F.elements() if F.neg(c0) not in image]
 
 
-def block_index(F, upper):
-    return sum(c * F.order ** i for i, c in enumerate(upper[:-1]))
-
-
 def sample_blocks(F, degree, rng):
     """Blocks of one superblock and the next: g = x**l, blocks whose middle
     coefficients are zero, random ones, and two that share c_2..c_(l-1)."""
@@ -412,12 +408,11 @@ def test_binomial_block_matches_a_full_pass(F, monkeypatch):
 @pytest.mark.parametrize("degree", [2, 3, 4])
 def test_root_free_candidates_past_the_byte_tables(F, degree):
     # only the first three blocks, never the whole Q**degree enumeration
-    head = itertools.takewhile(lambda cand: block_index(F, cand[1]) < 3,
-                               poly._root_free_candidates(F, degree))
-    got = [(block_index(F, upper), c0) for c0, upper in head]
-    expected = []
+    root_free = poly._block_images(F)
+    got, expected = [], []
     for block in range(3):
         upper = [block] + [0] * (degree - 2) + [1]
+        got += [(block, c0) for c0 in itertools.compress(F.elements(), root_free(upper))]
         expected += [(block, c0) for c0 in reference_root_free(F, upper)]
     assert got == expected
     if F.p == 2 and degree == 2:  # x**2 is a bijection: block 0 holds none
