@@ -19,24 +19,29 @@ powering are index arithmetic on discrete logs, and so are the Frobenius
 map x -> x**q (generator**j -> generator**(j*q)) and the subfield test
 (GF(q)* is the powers of generator**(q+1)); addition uses Zech
 logarithms.  All operations are exact, and a tower is immutable after
-construction (its Zech list and add/mul lookup tables are built with it),
+construction (its Zech table and add/mul lookup tables are built with it),
 so it is safe to share freely.
 
 The tables come from one walk over the powers of the generator in packed
 form: the coefficient vector of a polynomial of degree < 2e over GF(p),
 read as base-p digits, constant term lowest.  Multiplying by the generator
-is GF(p)-linear, so a step looks up the images of the two base-q halves of
-the packed vector, adds them without carries (the images are stored in
-base 2p - 1) and reduces each half of the sum mod p with one more lookup.
-1 + x changes only the lowest digit of a packed x, so each Zech logarithm
-is a single lookup too.  The build's products mod the modulus run on the
+is GF(p)-linear.  In characteristic 2 a step is one lookup in a table of
+the product with every packed vector; for odd p a step looks up the
+images of the two base-q halves of the packed vector, adds them without
+carries (the images are stored in base 2p - 1) and reduces each half of
+the sum mod p with one more lookup.  1 + x changes only the lowest digit
+of a packed x, so the Zech logarithms are read off the log table a digit
+class at a time.  The exp, log and Zech tables are typed buffers of 2 or
+4 bytes an entry, so no list of q**2 ints is made: GF(2^14) builds in
+about 0.16 MB.  The build's products mod the modulus run on the
 polynomial kernels in `poly`, over `PrimeField(p)`.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import List, Optional, Sequence, Tuple
+import sys
+from typing import List, Sequence, Tuple
 
 from .poly import _power, _product, root_free_monic
 
@@ -47,9 +52,9 @@ Element = int
 #: are materialised, so this caps table memory and construction time.
 DEFAULT_ELEMENT_BOUND = 2 ** 14
 
-#: Ceiling on a user-set element bound: building GF(2^16) takes about 0.05 s
-#: and 6 MB on a 2-core Intel Xeon with Python 3.11, and each further factor
-#: of 4 costs about 4.5x the time and 4x the memory.
+#: Ceiling on a user-set element bound: building GF(2^16) takes about 0.015 s
+#: and 1.1 MB on a 2-core Intel Xeon with Python 3.11, and each further
+#: factor of 4 costs about 4x the time and 4x the memory.
 MAX_ELEMENT_BOUND = 2 ** 16
 
 #: Largest field whose add/mul tables `FieldTower.op_tables` stores as byte
@@ -216,19 +221,24 @@ class FieldTower:
             digits.append(r)
         return digits
 
-    def _exp_log(self) -> Tuple[int, List[int], List[Optional[int]]]:
+    def _exp_log(self) -> Tuple[int, Sequence[int], Sequence[int]]:
         """(g, exp, log): g is the packed generator, the primitive element
         with the smallest packed vector; exp[j] is g**j packed, for
-        0 <= j <= q**2 - 2; log[v] is the j with exp[j] == v, and None at
-        v == 0.
+        0 <= j <= q**2 - 2; log[v] is the j with exp[j] == v, and the
+        sentinel 2(q**2 - 1) - 1, which is no log, at v == 0.  Both are
+        `_table`s, so no list of q**2 ints is made.
 
-        Multiplying by g is GF(p)-linear, so one step splits the packed
-        vector into its base-q halves, hi and lo, and adds the images of
-        lo*g and hi*x**e*g from two tables of q entries each (2q products
-        mod the modulus, made once).  The images are stored in base B =
-        2p - 1, so each digit of the sum is at most 2p - 2 and the sum has
-        no carries; one table of B**e entries maps each half of the sum back
-        to base-p digits reduced mod p.
+        Multiplying by g is GF(p)-linear.  In characteristic 2 a step is one
+        lookup in the table of v*g over every packed v, which the images of
+        the 2e basis vectors x**i fill by doubling: v*g for v below 2**(i+1)
+        is v*g for v below 2**i, XORed with x**i*g, one XOR of the table's
+        first half read as a single int.  For odd p the walk holds the
+        packed vector as its base-q halves, hi and lo, and adds the images
+        of lo*g and hi*x**e*g from tables of q entries (2q products mod the
+        modulus, made once), half by half.  The images are stored in base
+        B = 2p - 1, so each digit of a sum is at most 2p - 2 and the sum
+        has no carries; one table of B**e entries maps each half of the sum
+        back to base-p digits reduced mod p.
         """
         p, e, q = self.p, self.e, self.q
         M = self.order - 1
@@ -244,55 +254,79 @@ class FieldTower:
         else:
             raise RuntimeError("no primitive element found")  # cannot happen
 
-        B = 2 * p - 1
-        Be = B ** e
+        def image(v: int) -> List[int]:  # v*g as its 2e base-p digits
+            return _product(Fp, self._unpack(v), gen, tail)
 
-        def image(v: int) -> int:  # v*g as base-p digits read in base B
-            vg = _product(Fp, self._unpack(v), gen, tail)
-            return sum(d * B ** i for i, d in enumerate(vg))
+        exp = _table(M, M)
+        log = _table(self.order, M)
+        if p == 2:
+            times_g = _table(self.order, M)  # times_g[v] == v*g
+            raw, width, endian = times_g.cast("B"), times_g.itemsize, sys.byteorder
+            for i in range(2 * e):
+                n = width << i  # the bytes of v*g for v below 2**i
+                basis = sum(d << k for k, d in enumerate(image(1 << i)))  # x**i*g
+                raw[n:2 * n] = (int.from_bytes(raw[:n], endian) ^ int.from_bytes(
+                    basis.to_bytes(width, endian) * (1 << i), endian)).to_bytes(n, endian)
+            cur = 1
+            for j in range(M):
+                exp[j] = cur
+                log[cur] = j
+                cur = times_g[cur]
+        else:
+            B = 2 * p - 1
 
-        low = [image(lo) for lo in range(q)]
-        high = [image(hi * q) for hi in range(q)]
-        # reduce[n] for n = d_0 + d_1*B + ...: the digits d_i mod p in base p
-        reduce = [0]
-        for _ in range(e):
-            reduce = [d % p + p * r for r in reduce for d in range(B)]
+            def halves(v: int) -> Tuple[int, int]:  # v*g's base-q halves, in base B
+                digits = image(v)
+                return (sum(d * B ** k for k, d in enumerate(digits[:e])),
+                        sum(d * B ** k for k, d in enumerate(digits[e:])))
 
-        exp = [0] * M
-        log: List[Optional[int]] = [None] * self.order
-        cur = 1
-        for j in range(M):
-            if log[cur] is not None:
-                raise RuntimeError("generator order is too small")
-            exp[j] = cur
-            log[cur] = j
-            hi, lo = divmod(cur, q)
-            hw, lw = divmod(low[lo] + high[hi], Be)
-            cur = reduce[hw] * q + reduce[lw]
+            # the low and high halves of lo*g, and of hi*x**e*g
+            lo_lo, lo_hi = zip(*map(halves, range(q)))
+            hi_lo, hi_hi = zip(*(halves(hi * q) for hi in range(q)))
+            # reduce[n] for n = d_0 + d_1*B + ...: the digits d_i mod p in base p
+            reduce = [0]
+            for _ in range(e):
+                reduce = [d % p + p * r for r in reduce for d in range(B)]
+            hi, lo = 0, 1
+            for j in range(M):
+                cur = hi * q + lo
+                exp[j] = cur
+                log[cur] = j
+                hi, lo = reduce[lo_hi[lo] + hi_hi[hi]], reduce[lo_lo[lo] + hi_lo[hi]]
+            cur = hi * q + lo
+        # The walk starts at 1, so a walk that ends at 1 repeats a value
+        # within M steps iff it comes back to 1 early, and log[1] then holds
+        # that later step instead of 0.
+        if log[1]:
+            raise RuntimeError("generator order is too small")
         if cur != 1:
             raise RuntimeError("generator order check failed")
+        log[0] = 2 * M - 1
         return gen_packed, exp, log
 
     def _build_tables(self) -> None:
-        """Fill the Zech list, the subfield enumeration and `op_tables` from
+        """Fill the Zech table, the subfield enumeration and `op_tables` from
         the powers of the generator, which `_exp_log` walks at a few integer
-        operations per step (two table lookups, one addition, two
-        reductions); exp and log are not kept.
+        operations per step; exp and log are not kept.
 
         1 + x changes only the lowest base-p digit of a packed x, so the
-        Zech entry of x needs no arithmetic beyond that digit: x + 1, or
-        x - (p - 1) when the digit wraps (for p = 2 this is x ^ 1).
+        logs of the packed x with lowest digit d and of their successors
+        1 + x are the slices log[d::p] and log[d + 1::p] (log[0::p] at
+        d == p - 1): zech[log[x]] is log[1 + x], one scatter per digit.
         """
-        gen_packed, exp, log = self._exp_log()
+        gen_packed, _, log = self._exp_log()
         self.generator: Element = 1 + log[gen_packed]  # always 2 by construction
 
         # Zech logarithms: zech[d] = log(1 + generator**d), and 2M - 1, which
-        # is no log, at the one d where the sum is 0 (the walk never reaches
-        # 0, so log[0] is free to hold it)
+        # is no log, at the one d where the sum is 0 (log[0] holds it)
         p = self.p
         M = self.order - 1
-        log[0] = 2 * M - 1
-        self._zech: List[int] = [log[x - p + 1 if x % p == p - 1 else x + 1] for x in exp]
+        zech = _table(M, M)
+        for d in range(p):
+            start = d or p  # 0 has no log
+            for i, z in zip(log[start::p], log[start + 1 if d < p - 1 else 0::p]):
+                zech[i] = z
+        self._zech: Sequence[int] = zech
         self._neg_shift = 0 if p == 2 else M // 2
 
         # subfield enumeration: 0 first, then ascending powers of
@@ -308,7 +342,7 @@ class FieldTower:
         # rotated by x - 1, mapped through mul[x].
         units = bytes(range(1, self.order))
         mul = (bytes(self.order),) + tuple(b"\0" + units[r:] + units[:r] for r in range(M))
-        one_plus = bytes(0 if z >= M else 1 + z for z in self._zech)
+        one_plus = bytes(0 if z >= M else 1 + z for z in zech)
         pad = bytes(256 - self.order)
         add = (bytes(range(self.order)),) + tuple(
             bytes((1 + r,)) + (one_plus[M - r:] + one_plus[:M - r]).translate(mul[1 + r] + pad)
@@ -429,6 +463,17 @@ class FieldTower:
 
     def __repr__(self) -> str:
         return f"FieldTower(p={self.p}, e={self.e})"
+
+    def __reduce__(self) -> tuple:  # for copy and pickle, which cannot copy a memoryview
+        return _build_field, (self.p, self.e)
+
+
+def _table(size: int, M: int) -> memoryview:
+    """size zeros, typed: 2-byte entries while the sentinel 2M - 1 of a
+    tower with M units fits in 16 bits, 4-byte entries past that.  A cast
+    memoryview needs no import, so a small tower's build loads no module."""
+    wide = 2 * M - 1 >= 1 << 16
+    return memoryview(bytearray(size * (4 if wide else 2))).cast("I" if wide else "H")
 
 
 class _MethodRow:

@@ -461,30 +461,31 @@ def _log_images(F: FieldTower) -> Callable[[List[Element]], bytes]:
 
     A unit is held as its discrete log i and zero as Z = 2Q - 3, which no
     sum of two logs reaches.  A product is then one lookup, prod[a + b],
-    and adding c == generator**j one lookup in a row read off the Zech list
-    rotated by j, since generator**i + c == c * (1 + generator**(i - j)).
-    Horner's rule runs (...((x + c_(l-1)) x + c_(l-2)) x ... + c_1) x, and
-    the part before "+ c_1" is kept while c_2..c_(l-1) stay the same.
-    x = 0 is a root of every g, so it is left out, and c_0 = 0 is never
-    root-free.  The tables are arrays of 2-byte entries up to Q = 2**15, so
-    a search at Q = 2**14 holds about 0.2 MB of them.
+    and adding c == generator**j one lookup in a row read off the tower's
+    Zech table rotated by j, since generator**i + c == c * (1 +
+    generator**(i - j)).  Horner's rule runs (...((x + c_(l-1)) x +
+    c_(l-2)) x ... + c_1) x, and the part before "+ c_1" is kept while
+    c_2..c_(l-1) stay the same; a run of r zero coefficients among them is
+    one multiplication by x**r, one pass.  x = 0 is a root of every g, so
+    it is left out, and c_0 = 0 is never root-free.  The tables have the
+    Zech table's entries, 2 bytes up to Q = 2**15, and the Zech table is
+    read in place, so a search at Q = 2**14 peaks at about 0.26 MB.
     """
     from array import array  # here: no other path needs the module at start-up
 
     M = F.order - 1
     Z = 2 * M - 1
-    typecode = "H" if Z < 1 << 16 else "I"
+    zech = F._zech  # the Zech logs, which hold Z at the one i where 1 + generator**i == 0
+    typecode = zech.format
     logs = range(M)
     # prod[a + b] == (a + b) % M for logs a and b, and Z when either is Z
     prod = array(typecode, logs)
     prod += prod[:M - 1]
     prod += array(typecode, (Z,)) * M
-    # the Zech logs, which hold Z at the one i where 1 + generator**i == 0
-    zech = memoryview(array(typecode, F._zech))
     unused = array(typecode, (Z,)) * (M - 1)
     shift = F.neg(1) - 1  # -generator**i == generator**(i + shift)
 
-    def plus(c: Element, values: Sequence[int]) -> Iterator[int]:
+    def plus(c: Element, values: Iterable[int]) -> Iterator[int]:
         """The log of generator**a + c for each a in values, a log or Z; c != 0."""
         j = c - 1
         shifted = memoryview(prod)[j:]  # shifted[z] == (j + z) % M, and Z at z == Z
@@ -496,8 +497,12 @@ def _log_images(F: FieldTower) -> Callable[[List[Element]], bytes]:
         row.append(j)
         return map(row.__getitem__, values)
 
-    def times_x(values: Iterable[int]) -> Iterator[int]:
-        return map(prod.__getitem__, map(operator.add, values, logs))
+    def times_x(values: Iterable[int], r: int = 1) -> Iterable[int]:
+        """Each of values, a log or Z, times x**r at its unit x."""
+        if not r:
+            return values
+        powers = logs if r == 1 else map(operator.mod, range(0, r * M, r), itertools.repeat(M))
+        return map(prod.__getitem__, map(operator.add, values, powers))
 
     high: List[Element] = []
     head: Sequence[int] = logs  # Horner's value at each unit x before "+ c_1"
@@ -506,9 +511,14 @@ def _log_images(F: FieldTower) -> Callable[[List[Element]], bytes]:
         nonlocal high, head
         if upper[1:] != high:
             high = upper[1:]
-            head = logs
+            head, r = logs, 0  # Horner's value is head * x**r
             for c in high[-2::-1]:  # c_(l-1), ..., c_2
-                head = array(typecode, times_x(plus(c, head) if c else head))
+                if c:
+                    head, r = array(typecode, times_x(plus(c, times_x(head, r)))), 0
+                else:
+                    r += 1
+            if r:
+                head = array(typecode, times_x(head, r))
         c1 = upper[0]
         missed = bytearray(b"\1") * (Z + 1)  # missed[i] == 0 iff generator**i == g(x)
         # deque(..., 0) drains the marking map in C; it yields only Nones

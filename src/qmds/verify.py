@@ -92,12 +92,12 @@ class VerificationReport(NamedTuple):
     distance_method: str  # "brute" | "rank" | "by-construction"
     measured_distance: Optional[int]
     mds: bool
-    singleton_equality: bool
+    witnesses: Optional[str]  # None, or the fault construct.witness_error names
     elapsed: float
 
     @property
     def passed(self) -> bool:
-        return self.hermitian_self_orthogonal and self.mds and self.singleton_equality
+        return self.hermitian_self_orthogonal and self.mds and self.witnesses is None
 
     def as_dict(self) -> dict:
         # elapsed is deliberately left out: serialized reports must be
@@ -149,9 +149,8 @@ def derive_quantum(code: Union[GRSCode, LinearCode]) -> QuantumParams:
 
 def verify_code(code: GRSCode, identity: str = "code") -> VerificationReport:
     """Exact Hermitian self-orthogonality and the MDS distance via the
-    ladder, for a bare GRS code (e.g. parsed from a file).  Its quantum
-    parameters are derived from the code, so the Singleton bound is met
-    with equality by definition."""
+    ladder, for a bare GRS code (e.g. parsed from a file, whose witnesses
+    load_code checks), so the report names no witness fault."""
     start = time.perf_counter()
     ok, witness = is_hermitian_self_orthogonal(code)
     method, measured, mds = distance_ladder(code)
@@ -162,19 +161,19 @@ def verify_code(code: GRSCode, identity: str = "code") -> VerificationReport:
         distance_method=method,
         measured_distance=measured,
         mds=mds,
-        singleton_equality=True,
+        witnesses=None,
         elapsed=time.perf_counter() - start,
     )
 
 
 def verify_construction(result: ConstructionResult) -> VerificationReport:
-    """verify_code plus the witness check: a report with a witness fault
-    that construct.witness_error names, the check load_code makes on a
-    file, fails."""
+    """verify_code plus the witness check: the report's `witnesses` holds
+    the fault construct.witness_error names, the check load_code makes on
+    a file, and a report with a fault fails."""
     code = result.code
     t, provenance = design_of(code)
     report = verify_code(code, f"{provenance} q={code.field.q} t={t} k={code.k}")
-    return report._replace(singleton_equality=witness_error(code, result.witnesses) is None)
+    return report._replace(witnesses=witness_error(code, result.witnesses))
 
 
 # ----------------------------------------------------------------------

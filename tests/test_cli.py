@@ -11,7 +11,7 @@ import qmds
 import qmds.verify
 from qmds import serialize
 from qmds.cli import main
-from qmds.construct import ConstructionResult, reconstruct_multipliers
+from qmds.construct import ConstructionResult, additive_coset_code, reconstruct_multipliers
 from qmds.field import make_field
 from qmds.grs import GRSCode, generator_matrix
 from qmds.poly import Poly
@@ -281,7 +281,33 @@ def test_verify_construction_fails_on_the_witnesses_verify_rejects(tmp_path, cap
     assert qmds.verify.verify_construction(ConstructionResult(code, good["witnesses"])).passed
     for case_code, witnesses in cases:
         report = qmds.verify.verify_construction(ConstructionResult(case_code, witnesses))
-        assert not report.passed and not report.singleton_equality, witnesses
+        assert not report.passed and report.witnesses.startswith("'witnesses'"), witnesses
+
+
+def test_reports_name_a_witness_fault_and_no_singleton_field(tmp_path, capsys, monkeypatch):
+    # a constructor that ships a w whose norm equation has no solution: the
+    # exit-1 report of construct names the key, and verify's report of a
+    # good file says no witness fault
+    good = additive_coset_code(3, 3, 2)
+    F = good.code.field
+    w = list(good.witnesses["w"])
+    w[0] = F.mul(w[0], F.generator)
+    path = tmp_path / "code.json"
+    serialize.save(serialize.result_to_obj(good), str(path))
+    rc, out, _ = run(capsys, ["verify", str(path)])
+    report = json.loads(out)
+    assert rc == 0 and report["witnesses"] is None and report["passed"]
+    assert list(report) == ["identity", "hermitian_self_orthogonal", "hermitian_witness",
+                            "distance_method", "measured_distance", "mds", "witnesses",
+                            "passed", "quantum"]
+    monkeypatch.setattr("qmds.cli.additive_coset_code",
+                        lambda *args: ConstructionResult(good.code, {"w": w}))
+    rc, out, err = run(capsys, ["construct", "theorem1", "--q", "3", "--t", "3", "--k", "2"])
+    assert (rc, out) == (1, "")
+    report = json.loads(err)
+    assert report["witnesses"] == "'witnesses' ('w') do not give the multipliers 'v'"
+    assert (report["hermitian_self_orthogonal"], report["mds"], report["passed"]) == (True, True, False)
+    assert "singleton_equality" not in report
 
 
 def test_the_even_characteristic_corner_has_no_witnesses(tmp_path, capsys):

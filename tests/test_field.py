@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 
 import pytest
 
@@ -207,10 +208,10 @@ def test_tables_are_pinned_and_match_a_schoolbook_reference(p, e):
     # the Frobenius map as its list of values
     zech = [None if z >= M else z for z in F._zech]
     frob = [F.frobenius(x) for x in F.elements()]
-    digest = hashlib.sha256(repr((exp, zech, frob)).encode()).hexdigest()
+    digest = hashlib.sha256(repr((list(exp), zech, frob)).encode()).hexdigest()
     assert (gen, digest[:16]) == TABLES[p, e]
     assert exp[1] == gen and F.generator == 2
-    assert log[0] is None and all(log[v] == j for j, v in enumerate(exp))
+    assert log[0] == 2 * M - 1 and all(log[v] == j for j, v in enumerate(exp))
 
     if (p, e) in FULLY_CHECKED:
         steps = range(M)
@@ -225,6 +226,22 @@ def test_tables_are_pinned_and_match_a_schoolbook_reference(p, e):
         digits[0] = (digits[0] + 1) % p
         s = pack(digits, p)
         assert F.add(1, 1 + j) == (0 if s == 0 else 1 + log[s]), j
+
+
+@pytest.mark.parametrize("p,e", sorted(FULLY_CHECKED))
+def test_table_build_memory_stays_near_its_typed_tables(p, e):
+    # GF(2^14) and GF(127^2) have about 16,000 elements.  Their exp, log
+    # and Zech tables (and in characteristic 2 the times-generator table)
+    # take 2 bytes an entry, about 32 KB each; held as lists of ints, exp,
+    # log and Zech peaked near 1.4 MB.
+    FieldTower(p, e)  # caches the modulus search, so only the tables are traced
+    tracemalloc.start()
+    try:
+        FieldTower(p, e)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 2 ** 10
 
 
 @pytest.mark.parametrize("p", [2, 3, 251])

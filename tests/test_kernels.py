@@ -462,6 +462,56 @@ def test_bruteforce_minimum_reached_in_each_base_of_the_c2_walk():
         assert min_distance_bruteforce(code) == 2, c2
 
 
+# k = 5 is the least k whose walk, at lead 4, runs over two digits, c2 and
+# c3: c2 runs to one end of its range, c3 steps, and c2 turns around.  The
+# cap admits k = 5 only over GF(4) and GF(9), where no sweep or construct
+# code has it.
+TURN_AROUND_ROWS = [[1, 4, 1, 2, 7, 7, 2, 4, 2],
+                    [5, 5, 3, 1, 0, 2, 8, 1, 2],
+                    [1, 6, 5, 8, 0, 5, 6, 6, 2],
+                    [5, 7, 7, 7, 0, 8, 4, 3, 2],
+                    [5, 8, 2, 3, 1, 5, 2, 0, 2]]
+
+
+def test_bruteforce_minimum_reached_in_each_base_of_the_lead_4_walk():
+    # Rows 0-3 span a [9, 4] GRS code over GF(9), of distance 6; row 4
+    # adds the one word of weight 3, of message (7, 1, 4, 1, 1).  Adding
+    # (4 - c2) * row_2 + (1 - c3) * row_3 to row_4 moves it to the base
+    # (c2, c3) and keeps the code, so each of the 81 bases holds it in
+    # turn, those after a turn-around included.
+    F = F9
+    code = LinearCode(F, TURN_AROUND_ROWS)
+    assert reference_distance(code) == 3 and minimum_messages(code) == {(7, 1, 4, 1, 1)}
+    rows = TURN_AROUND_ROWS
+    for c2, c3 in itertools.product(range(F.order), repeat=2):
+        s2, s3 = F.sub(4, c2), F.sub(1, c3)
+        moved = [F.add(a, F.add(F.mul(s2, b), F.mul(s3, c)))
+                 for a, b, c in zip(rows[4], rows[2], rows[3])]
+        assert min_distance_bruteforce(LinearCode(F, rows[:4] + [moved])) == 3, (c2, c3)
+
+
+def test_bruteforce_agrees_with_the_reference_at_k_5():
+    # random [n, 5] codes over GF(9), MDS and not, and two [8, 5] codes
+    # over GF(4)
+    rng = random.Random(5)
+    verdicts = []
+    for _ in range(6):
+        code, kind = random_code(F9, rng, 5, 5)
+        distance = reference_distance(code)
+        assert min_distance_bruteforce(code) == distance, (kind, code.rows)
+        verdicts.append(distance == code.length - 4)
+    assert any(verdicts) and not all(verdicts)
+    F4 = make_field(2, 1)
+    checked = 0
+    while checked < 2:
+        try:
+            code = LinearCode(F4, [[rng.randrange(4) for _ in range(8)] for _ in range(5)])
+        except ValueError:  # not of full row rank; draw again
+            continue
+        assert min_distance_bruteforce(code) == reference_distance(code), code.rows
+        checked += 1
+
+
 def test_closed_levels_on_the_method_views():
     # GF(289) is past LOOKUP_TABLE_MAX_ORDER.  An extended [6, 2] GRS code
     # has the infinite key and a row_0 that vanishes at the extended column.

@@ -351,7 +351,9 @@ def reference_root_free(F, upper):
 
 def sample_blocks(F, degree, rng):
     """Blocks of one superblock and the next: g = x**l, blocks whose middle
-    coefficients are zero, random ones, and two that share c_2..c_(l-1)."""
+    coefficients are zero, random ones, two that share c_2..c_(l-1), and
+    one whose zero coefficients c_3..c_(l-1) come before a nonzero c_2 in
+    Horner's order."""
     Q = F.order
     blocks = [[0] * (degree - 1) + [1], [1] + [0] * (degree - 2) + [1],
               [Q - 1] + [0] * (degree - 2) + [1]]
@@ -361,6 +363,8 @@ def sample_blocks(F, degree, rng):
     for _ in range(3):
         blocks.append([rng.randrange(Q) for _ in range(degree - 1)] + [1])
     blocks.append([rng.randrange(Q)] + blocks[-1][1:])
+    if degree > 3:
+        blocks.append([rng.randrange(Q), rng.randrange(1, Q)] + [0] * (degree - 3) + [1])
     return blocks
 
 
@@ -369,7 +373,7 @@ BULK_FIELDS = [make_field(17, 1), make_field(5, 2), make_field(3, 3), make_field
 
 
 @pytest.mark.parametrize("F", BULK_FIELDS, ids=lambda F: f"F{F.order}")
-@pytest.mark.parametrize("degree", [2, 3, 4])
+@pytest.mark.parametrize("degree", [2, 3, 4, 5])
 def test_bulk_root_free_matches_evaluation_at_every_point(F, degree):
     rng = random.Random(F.order * 10 + degree)
     root_free = poly._bulk_root_free(F)

@@ -28,7 +28,7 @@ def instances():
         (VerificationReport(
             identity="code", hermitian_self_orthogonal=True, hermitian_witness=None,
             distance_method="brute", measured_distance=2, mds=True,
-            singleton_equality=True, elapsed=0.0,
+            witnesses=None, elapsed=0.0,
         ), "mds"),
         (SweepRow(q=2, t=1, k=1, family="theorem1", N=2, K=1, D=2, n=2, kq=0, d=2, status="ok"),
          "status"),

@@ -48,7 +48,7 @@ def test_verify_additive_construction_passes():
     assert report.hermitian_self_orthogonal and report.hermitian_witness is None
     assert report.distance_method == "brute"
     assert report.measured_distance == 8
-    assert report.singleton_equality
+    assert report.witnesses is None
     assert report.identity == "theorem1 q=3 t=3 k=2"
 
 
@@ -105,7 +105,7 @@ def test_verify_detects_a_tampered_witness_on_a_valid_code(build, key):
     assert witnesses[key][0] != good.witnesses[key][0]
     report = verify_construction(ConstructionResult(good.code, witnesses))
     assert report.hermitian_self_orthogonal and report.mds  # the code is untouched
-    assert not report.singleton_equality
+    assert report.witnesses.startswith("'witnesses'") and repr(key) in report.witnesses
     assert not report.passed
 
 
@@ -130,7 +130,7 @@ def test_verify_detects_a_multiplier_changed_by_a_unit_of_norm_one(build):
     code = GRSCode(good.code.field, good.code.a, tuple(v), good.code.k, good.code.extended)
     report = verify_construction(ConstructionResult(code, good.witnesses))
     assert report.hermitian_self_orthogonal and report.mds
-    assert not report.singleton_equality
+    assert report.witnesses.endswith("do not give the multipliers 'v'")
     assert not report.passed
 
 
@@ -143,7 +143,7 @@ def test_verify_reports_a_w_witness_without_a_norm_solution_as_a_failure():
     witnesses["w"][0] = F.mul(witnesses["w"][0], F.generator)
     report = verify_construction(ConstructionResult(good.code, witnesses))
     assert report.hermitian_self_orthogonal and report.mds
-    assert not report.singleton_equality
+    assert report.witnesses == "'witnesses' ('w') do not give the multipliers 'v'"
     assert not report.passed
 
 
