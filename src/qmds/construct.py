@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from operator import getitem, ne
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .field import (
@@ -133,10 +134,9 @@ def check_admissible(
 ) -> Dict[int, bool]:
     """Raise ParameterError unless t (and k, when given) lie on the
     family's grid, and ExcludedParameters on its excluded corner.  Returns
-    the admissible k of t, each mapped to whether it is excluded.  grid
-    runs in ascending t, so the scan stops at the first row past t."""
-    rows = itertools.takewhile(lambda row: row[0] <= t, grid(q, family))
-    ks = {k2: excluded for t2, k2, excluded in rows if t2 == t}
+    the admissible k of t, each mapped to whether it is excluded, in a
+    dict of the caller's own."""
+    ks = dict(_admissible_ks(q, family, t))
     if not ks:
         raise ParameterError(f"t={t} out of range for {family} with q={q}")
     if k is None:
@@ -149,6 +149,16 @@ def check_admissible(
             "in even characteristic with t = k = q-1 (quantum distance q)"
         )
     return ks
+
+
+@functools.lru_cache(maxsize=1)
+def _admissible_ks(q: int, family: str, t: int) -> Dict[int, bool]:
+    """k -> excluded over row t of grid(q, family).  A sweep checks the
+    codes of one (q, family, t) in a row, so one map is kept.  grid runs in
+    ascending t, so the scan stops at the first row past t: one construct
+    call never walks the rest of the grid."""
+    rows = itertools.takewhile(lambda row: row[0] <= t, grid(q, family))
+    return {k: excluded for t2, k, excluded in rows if t2 == t}
 
 
 def provenance_of(q: int, t: int, k: int, extended: bool) -> str:
@@ -194,11 +204,11 @@ class AdditiveCosetDesign:
             raise RuntimeError("generator unexpectedly lies in the subfield")
         sub = field.subfield_elements()
         self.betas: Tuple[Element, ...] = sub[:t]
-        pts: List[Element] = []
-        for beta in self.betas:
-            shift = field.mul(beta, self.alpha)
-            pts.extend(field.add(x, shift) for x in sub)
-        self.points: Tuple[Element, ...] = tuple(pts)
+        add, mul = field.op_tables
+        # coset s is GF(q) shifted by beta_s * alpha: one pass through an add row
+        shifts = map(mul[self.alpha].__getitem__, self.betas)
+        self.points: Tuple[Element, ...] = tuple(itertools.chain.from_iterable(
+            map(add[shift].__getitem__, sub) for shift in shifts))
         if len(set(self.points)) != t * field.q:
             raise RuntimeError("coset points are not distinct")
         # alpha**q - alpha: every product across two cosets carries it
@@ -299,23 +309,26 @@ class MultiplicativeCosetDesign:
         norms = [field.norm(b) for b in self.betas]
         if len(set(norms)) != t:
             raise RuntimeError("coset representatives are not in distinct cosets")
-        pts: List[Element] = []
-        for beta in self.betas:
-            pts.extend(field.mul(beta, field.pow(self.theta, l)) for l in range(q + 1))
-        pts.append(0)
-        self.points: Tuple[Element, ...] = tuple(pts)
+        mul = field.op_tables[1]
+        # coset s is beta_s times the powers of theta: one pass through a mul row
+        powers = [field.pow(self.theta, l) for l in range(q + 1)]
+        self.points: Tuple[Element, ...] = tuple(itertools.chain.from_iterable(
+            map(mul[beta].__getitem__, powers) for beta in self.betas)) + (0,)
         if len(set(self.points)) != t * (q + 1) + 1:
             raise RuntimeError("coset points are not distinct")
         # prod_{s != r}(beta_r**(q+1) - beta_s**(q+1)) once per coset r,
-        # O(t^2); then w_i once per point, O(n)
+        # O(t^2).  a_i**(q+1) == beta_r**(q+1) on coset r, as theta**(q+1)
+        # == 1, so difference_product, and so w_i, depends only on the
+        # coset of a_i: one inversion per coset and one at the zero point
         self._coset_products: Tuple[Element, ...] = tuple(
             functools.reduce(field.mul, (field.sub(nr, ns) for ns in norms if ns != nr), 1)
             for nr in norms
         )
         #: (w_1, ..., w_n): w_i is the inverse of difference_product(i)
         self.weights: Tuple[Element, ...] = tuple(
-            field.inv(self.difference_product(i)) for i in range(self.n)
-        )
+            w for r in range(t)
+            for w in (field.inv(self.difference_product(r * (q + 1))),) * (q + 1)
+        ) + (field.inv(self.difference_product(self.n - 1)),)
         self._gamma: Optional[Tuple[Element, ...]] = None
 
     @property
@@ -337,10 +350,14 @@ class MultiplicativeCosetDesign:
 
     def gamma(self) -> Tuple[Element, ...]:
         """Norm-equation solutions gamma_i with gamma_i**(q+1) == -w_i,
-        solved on the first call and kept."""
+        solved on the first call and kept.  Raises solve_norm's ValueError
+        at the first -w_i that has no root."""
         if self._gamma is None:
             F = self.field
-            self._gamma = tuple(F.solve_norm(F.neg(w)) for w in self.weights)
+            gamma = tuple(map(F.norm_root_map, map(F.neg_map, self.weights)))
+            if 0 in gamma:
+                F.solve_norm(F.neg(self.weights[gamma.index(0)]))  # raises
+            self._gamma = gamma
         return self._gamma
 
 
@@ -447,19 +464,23 @@ def reconstruct_multipliers(
     family: v_i = m(a_i) * gamma_i, times a unit of norm 1/2 on the
     special corner (t, k) = (q-1, q-1)."""
     F = field
+    add, mul = F.op_tables
     if provenance == PROVENANCE_ADDITIVE:
         t = coset_count(F.q, len(points), extended=False)
         span = F.sub(F.frobenius(F.generator), F.generator)
-        scale = F.pow(span, t - 1)
-        norms = [F.mul(wi, scale) for wi in witnesses["w"]]
-        if not all(x and F.in_subfield(x) for x in norms):
-            return None
-        return tuple(F.solve_norm(x) for x in norms)
-    m = Poly(F, witnesses["m_coeffs"])  # rejects a coefficient outside the field
-    v = [F.mul(m(a), g) for a, g in zip(points, witnesses["gamma"])]
+        scale = mul[F.pow(span, t - 1)]
+        # norm_root is 0 at a zero norm and outside GF(q), and nowhere else
+        v = tuple(map(F.norm_root_map, map(scale.__getitem__, witnesses["w"])))
+        return None if 0 in v else v
+    m = Poly(F, witnesses["m_coeffs"]).coeffs  # rejects a coefficient outside the field
+    # m(a_i) at every point at once, by Horner: acc_i -> acc_i * a_i + c
+    by_point = list(map(mul.__getitem__, points))
+    acc = [0] * len(by_point)
+    for c in reversed(m):
+        acc = list(map(add[c].__getitem__, map(getitem, by_point, acc)))
+    v = map(getitem, map(mul.__getitem__, witnesses["gamma"]), acc)
     if provenance == PROVENANCE_EXTENDED_SPECIAL:
-        unit = F.solve_norm(F.inv(F.from_int(2)))
-        v = [F.mul(unit, x) for x in v]
+        v = map(mul[F.solve_norm(F.inv(F.from_int(2)))].__getitem__, v)
     return tuple(v)
 
 
@@ -507,7 +528,7 @@ def witness_error(code: GRSCode, witnesses: object) -> Optional[str]:
     if reconstruct_multipliers(F, code.a, provenance, witnesses) != code.v:
         named = ", ".join(map(repr, keys))
         return f"'witnesses' ({named}) do not give the multipliers 'v'"
-    if code.extended and any(
-            F.norm(g) != F.neg(x) for g, x in zip(witnesses["gamma"], witnesses["w"])):
+    if code.extended and any(map(
+            ne, map(F.norm_map, witnesses["gamma"]), map(F.neg_map, witnesses["w"]))):
         return "'witnesses' key 'w' does not satisfy gamma_i^(q+1) = -w_i"
     return None

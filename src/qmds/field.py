@@ -31,8 +31,8 @@ images of the two base-q halves of the packed vector, adds them without
 carries (the images are stored in base 2p - 1) and reduces each half of
 the sum mod p with one more lookup.  1 + x changes only the lowest digit
 of a packed x, so the Zech logarithms are read off the log table a digit
-class at a time.  The exp, log and Zech tables are typed buffers of 2 or
-4 bytes an entry, so no list of q**2 ints is made: GF(2^14) builds in
+class at a time.  The log and Zech tables are typed buffers of 2 or 4
+bytes an entry, so no list of q**2 ints is made: GF(2^14) builds in
 about 0.16 MB.  The build's products mod the modulus run on the
 polynomial kernels in `poly`, over `PrimeField(p)`.
 """
@@ -48,7 +48,7 @@ from .poly import _power, _product, root_free_monic
 #: Elements are canonical integer encodings (see module docstring).
 Element = int
 
-#: Largest allowed number of elements of GF(q^2); full log/exp/Zech tables
+#: Largest allowed number of elements of GF(q^2); full log and Zech tables
 #: are materialised, so this caps table memory and construction time.
 DEFAULT_ELEMENT_BOUND = 2 ** 14
 
@@ -58,13 +58,14 @@ DEFAULT_ELEMENT_BOUND = 2 ** 14
 MAX_ELEMENT_BOUND = 2 ** 16
 
 #: Largest field whose add/mul tables `FieldTower.op_tables` stores as byte
-#: rows: every element then fits in one byte, and a table is at most 64 KB.
-#: Above it op_tables are views that call the methods.  Up to it the
-#: root-free search (`poly._block_images`) takes each block image in one
-#: C-level pass over the byte rows; above it the search computes its block
-#: images in bulk in the log domain, but its sieve marks, its
-#: irreducibility test and its discriminant filter still read the views,
-#: one method call per lookup.
+#: rows, and whose unary maps (`FieldTower.norm_map` and the like) are byte
+#: tables: every element then fits in one byte, and a table is at most 64 KB.
+#: Above it op_tables are views that call the methods, and the unary maps
+#: are the methods.  Up to it the root-free search (`poly._block_images`)
+#: takes each block image in one C-level pass over the byte rows; above it
+#: the search computes its block images in bulk in the log domain, but its
+#: sieve marks, its irreducibility test and its discriminant filter still
+#: read the views, one method call per lookup.
 LOOKUP_TABLE_MAX_ORDER = 256
 
 
@@ -198,6 +199,12 @@ class FieldTower:
             to LOOKUP_TABLE_MAX_ORDER elements the rows are `bytes` (64 KB
             per table at order 256); larger towers get views that call the
             methods, so no order**2 entries are materialised.
+        frobenius_map, norm_map, neg_map, norm_root_map: the unary maps
+            x -> frobenius(x), norm(x), neg(x) and norm_root(x), for the
+            per-point passes, which run them as map(F.norm_map, xs).  Up to
+            LOOKUP_TABLE_MAX_ORDER elements each is the C-level __getitem__
+            of a `bytes` table of its values; past it each is the method
+            itself, so no pass gets slower there.
     """
 
     def __init__(self, p: int, e: int):
@@ -221,12 +228,12 @@ class FieldTower:
             digits.append(r)
         return digits
 
-    def _exp_log(self) -> Tuple[int, Sequence[int], Sequence[int]]:
-        """(g, exp, log): g is the packed generator, the primitive element
-        with the smallest packed vector; exp[j] is g**j packed, for
-        0 <= j <= q**2 - 2; log[v] is the j with exp[j] == v, and the
-        sentinel 2(q**2 - 1) - 1, which is no log, at v == 0.  Both are
-        `_table`s, so no list of q**2 ints is made.
+    def _log_table(self) -> Tuple[int, Sequence[int]]:
+        """(g, log): g is the packed generator, the primitive element with
+        the smallest packed vector; log[v] is the j with g**j == v packed,
+        for 0 <= j <= q**2 - 2, and the sentinel 2(q**2 - 1) - 1, which is
+        no log, at v == 0.  log is a `_table`, so no list of q**2 ints is
+        made; the walk keeps no exp table, which no caller reads.
 
         Multiplying by g is GF(p)-linear.  In characteristic 2 a step is one
         lookup in the table of v*g over every packed v, which the images of
@@ -257,8 +264,6 @@ class FieldTower:
         def image(v: int) -> List[int]:  # v*g as its 2e base-p digits
             return _product(Fp, self._unpack(v), gen, tail)
 
-        exp = _table(M, M)
-        log = _table(self.order, M)
         if p == 2:
             times_g = _table(self.order, M)  # times_g[v] == v*g
             raw, width, endian = times_g.cast("B"), times_g.itemsize, sys.byteorder
@@ -267,9 +272,9 @@ class FieldTower:
                 basis = sum(d << k for k, d in enumerate(image(1 << i)))  # x**i*g
                 raw[n:2 * n] = (int.from_bytes(raw[:n], endian) ^ int.from_bytes(
                     basis.to_bytes(width, endian) * (1 << i), endian)).to_bytes(n, endian)
+            log = _table(self.order, M)  # after the doubling's transients are gone
             cur = 1
             for j in range(M):
-                exp[j] = cur
                 log[cur] = j
                 cur = times_g[cur]
         else:
@@ -287,10 +292,10 @@ class FieldTower:
             reduce = [0]
             for _ in range(e):
                 reduce = [d % p + p * r for r in reduce for d in range(B)]
+            log = _table(self.order, M)
             hi, lo = 0, 1
             for j in range(M):
                 cur = hi * q + lo
-                exp[j] = cur
                 log[cur] = j
                 hi, lo = reduce[lo_hi[lo] + hi_hi[hi]], reduce[lo_lo[lo] + hi_lo[hi]]
             cur = hi * q + lo
@@ -302,19 +307,19 @@ class FieldTower:
         if cur != 1:
             raise RuntimeError("generator order check failed")
         log[0] = 2 * M - 1
-        return gen_packed, exp, log
+        return gen_packed, log
 
     def _build_tables(self) -> None:
         """Fill the Zech table, the subfield enumeration and `op_tables` from
-        the powers of the generator, which `_exp_log` walks at a few integer
-        operations per step; exp and log are not kept.
+        the powers of the generator, which `_log_table` walks at a few integer
+        operations per step; log is not kept.
 
         1 + x changes only the lowest base-p digit of a packed x, so the
         logs of the packed x with lowest digit d and of their successors
         1 + x are the slices log[d::p] and log[d + 1::p] (log[0::p] at
         d == p - 1): zech[log[x]] is log[1 + x], one scatter per digit.
         """
-        gen_packed, _, log = self._exp_log()
+        gen_packed, log = self._log_table()
         self.generator: Element = 1 + log[gen_packed]  # always 2 by construction
 
         # Zech logarithms: zech[d] = log(1 + generator**d), and 2M - 1, which
@@ -332,6 +337,12 @@ class FieldTower:
         # subfield enumeration: 0 first, then ascending powers of
         # norm(generator) == generator**(q+1), whose encodings step by q + 1
         self._subfield = (0,) + tuple(range(1, self.order, self.q + 1))
+
+        # the unary maps: a byte table's lookup each, or past 256 the method
+        maps = (self.frobenius, self.norm, self.neg, self.norm_root)
+        if self.order <= LOOKUP_TABLE_MAX_ORDER:
+            maps = tuple(bytes(map(f, range(self.order))).__getitem__ for f in maps)
+        self.frobenius_map, self.norm_map, self.neg_map, self.norm_root_map = maps
 
         if self.order > LOOKUP_TABLE_MAX_ORDER:
             self.op_tables = (_MethodTable(self.add), _MethodTable(self.mul))
@@ -415,6 +426,13 @@ class FieldTower:
             raise ValueError("norm equation has no nonzero solution for 0")
         if not self.in_subfield(w):
             raise ValueError(f"element {w} is not in the subfield GF({self.q})")
+        return self.norm_root(w)
+
+    def norm_root(self, w: Element) -> Element:
+        """solve_norm(w), or 0, which is no unit's norm, where solve_norm
+        raises: at w == 0 and outside GF(q)."""
+        if w == 0 or not self.in_subfield(w):
+            return 0
         return 1 + (w - 1) // (self.q + 1)
 
     def root_of_unity(self, order: int) -> Element:

@@ -118,15 +118,15 @@ def generator_matrix(code: GRSCode) -> Matrix:
     """k x length matrix: row r is (v_i * a_i**r); the extended variant has
     one extra column equal to the k-th standard basis vector.
 
-    Row 0 is v (0**0 == 1) and row r+1 is row r times a_i, column by
-    column, through the rows mul[a_i] of the field's lookup tables."""
+    Row 0 is v (0**0 == 1) and row r+1 is row r times a_i, one pass
+    through the rows mul[a_i] of the field's lookup tables."""
     _, mul = code.field.op_tables
     by_point = [mul[ai] for ai in code.a]
     row = list(code.v)
     rows: Matrix = []
     for r in range(code.k):
         if r:
-            row = [m[x] for m, x in zip(by_point, row)]
+            row = list(map(getitem, by_point, row))
         rows.append(row + [int(r == code.k - 1)] if code.extended else row)
     return rows
 
@@ -232,15 +232,17 @@ def row_products(
 def hermitian_gram(field: FieldTower, rows: Sequence[Sequence[Element]]) -> Matrix:
     """G^(q) * G^T for the given generator rows.
 
-    Row i's Frobenius image meets the rows from i on in one row_products
-    pass.  Entry (j, i) is the Frobenius image of entry (i, j), because
-    x**(q^2) == x, so only the entries with j >= i are summed."""
+    Row i's Frobenius image, one pass of `frobenius_map`, meets the rows
+    from i on in one row_products pass.  Entry (j, i) is the Frobenius
+    image of entry (i, j), because x**(q^2) == x, so only the entries with
+    j >= i are summed."""
+    frobenius = field.frobenius_map
     out: Matrix = [[0] * len(rows) for _ in rows]
     for i, r in enumerate(rows):
-        rq = [field.frobenius(x) for x in r]
-        for j, acc in enumerate(row_products(field, rq, rows[i:]), i):
+        products = row_products(field, list(map(frobenius, r)), rows[i:])
+        for j, (acc, conjugate) in enumerate(zip(products, map(frobenius, products)), i):
             out[i][j] = acc
-            out[j][i] = field.frobenius(acc)
+            out[j][i] = conjugate
     return out
 
 
@@ -264,7 +266,7 @@ def hermitian_dual_contains(code, word: Sequence[Element]) -> bool:
         raise ValueError(f"word of length {len(word)} for a code of length {code.length}")
     F = code.field
     check_elements(F, word, "word entry")
-    wq = [F.frobenius(x) for x in word]
+    wq = list(map(F.frobenius_map, word))
     return not any(row_products(F, wq, generator_rows(code)))
 
 
@@ -437,7 +439,7 @@ def is_mds_by_rank(code) -> bool:
         rows = [list(r) for r in rows]
     neg = inv = None
     if k >= 3:  # -x and 1/x of every element x (1/0 read as 0): O(Q) each
-        neg = [F.neg(x) for x in F.elements()]
+        neg = list(map(F.neg_map, F.elements()))
         inv = [0] + [F.inv(x) for x in F.nonzero_elements()]
     return _independent(rows, (add, mul, pad, neg, inv, F.order - 1))
 

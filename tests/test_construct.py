@@ -84,6 +84,20 @@ def test_additive_closed_forms_trivia():
     assert design.within_coset_product() == F.pow(F.neg(1), 3) == F.from_int(2)
 
 
+def test_additive_closed_forms_reject_arguments_off_their_domain():
+    F = make_field(3, 1)
+    design = AdditiveCosetDesign(F, 2)
+    outside = F.generator  # alpha is never in GF(q)
+    assert not F.in_subfield(outside)
+    with pytest.raises(ValueError, match="^tau must lie in the subfield$"):
+        design.full_span_product(outside)
+    with pytest.raises(ValueError, match="^cosets must differ$"):
+        design.cross_coset_product(1, 1)
+    for i in (-1, design.n):
+        with pytest.raises(ValueError, match=rf"^index {i} out of range$"):
+            design.difference_product(i)
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_additive_closed_forms_match_brute_products(q):
     F = field_for_prime_power(q)

@@ -202,8 +202,12 @@ def test_every_admissible_tower_has_pinned_tables():
 @pytest.mark.parametrize("p,e", sorted(TABLES))
 def test_tables_are_pinned_and_match_a_schoolbook_reference(p, e):
     F = FieldTower(p, e)  # not make_field: its cache would keep 70 towers
-    gen, exp, log = F._exp_log()
+    gen, log = F._log_table()
     M, n = F.order - 1, 2 * e
+    # exp[j] == g**j packed, read off the log table the walk fills
+    exp = [0] * M
+    for v in range(1, F.order):
+        exp[log[v]] = v
     # the pinned digests encode the Zech entry of 1 + x == 0 as None and
     # the Frobenius map as its list of values
     zech = [None if z >= M else z for z in F._zech]
@@ -242,6 +246,21 @@ def test_table_build_memory_stays_near_its_typed_tables(p, e):
     finally:
         tracemalloc.stop()
     assert peak < 256 * 2 ** 10
+
+
+def test_gf_2_16_build_keeps_no_exp_table_beside_the_doubling():
+    # GF(2^16) has 4-byte entries, 256 KB a table.  With an exp table filled
+    # beside log, and log allocated before the times-generator table's
+    # XOR-doubling, the build peaked at 1.15 MB; walking only log, allocated
+    # after the doubling, it peaks near 0.65 MB.
+    FieldTower(2, 8)  # caches the modulus search, so only the tables are traced
+    tracemalloc.start()
+    try:
+        FieldTower(2, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 768 * 2 ** 10
 
 
 @pytest.mark.parametrize("p", [2, 3, 251])

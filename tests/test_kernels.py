@@ -97,8 +97,13 @@ def reference_distance(code):
 
 
 def random_code(F, rng, max_k, min_k=1):
-    """A full-rank code of one of four kinds, and its kind."""
+    """A full-rank code of one of four kinds, and its kind.  k is drawn
+    from min_k..max_k, clamped to the k < n <= Q that a GRS code on
+    distinct points over the field admits."""
     order = F.order
+    if min_k > order - 1:
+        raise ValueError(f"no GRS code over {F!r} has k={min_k}: k + 1 <= n <= {order}")
+    max_k = min(max_k, order - 1)
     while True:
         k = rng.randrange(min_k, max_k + 1)
         n = rng.randrange(k + 1, min(k + 4, order) + 1)
@@ -510,6 +515,19 @@ def test_bruteforce_agrees_with_the_reference_at_k_5():
             continue
         assert min_distance_bruteforce(code) == reference_distance(code), code.rows
         checked += 1
+
+
+def test_random_code_clamps_k_to_what_the_field_admits():
+    F4 = make_field(2, 1)
+    rng = random.Random(4)
+    with pytest.raises(ValueError, match=r"no GRS code over FieldTower\(p=2, e=1\) has k=5"):
+        random_code(F4, rng, 5, 5)
+    ks = set()
+    for _ in range(20):
+        code, _ = random_code(F4, rng, 5)
+        assert code.k < code.length <= F4.order
+        ks.add(code.k)
+    assert ks == {1, 2, 3}
 
 
 def test_closed_levels_on_the_method_views():
