@@ -309,26 +309,23 @@ class MultiplicativeCosetDesign:
         norms = [field.norm(b) for b in self.betas]
         if len(set(norms)) != t:
             raise RuntimeError("coset representatives are not in distinct cosets")
-        mul = field.op_tables[1]
-        # coset s is beta_s times the powers of theta: one pass through a mul row
-        powers = [field.pow(self.theta, l) for l in range(q + 1)]
-        self.points: Tuple[Element, ...] = tuple(itertools.chain.from_iterable(
-            map(mul[beta].__getitem__, powers) for beta in self.betas)) + (0,)
+        pts: List[Element] = []
+        for beta in self.betas:
+            pts.extend(field.mul(beta, field.pow(self.theta, l)) for l in range(q + 1))
+        pts.append(0)
+        self.points: Tuple[Element, ...] = tuple(pts)
         if len(set(self.points)) != t * (q + 1) + 1:
             raise RuntimeError("coset points are not distinct")
         # prod_{s != r}(beta_r**(q+1) - beta_s**(q+1)) once per coset r,
-        # O(t^2).  a_i**(q+1) == beta_r**(q+1) on coset r, as theta**(q+1)
-        # == 1, so difference_product, and so w_i, depends only on the
-        # coset of a_i: one inversion per coset and one at the zero point
+        # O(t^2); then w_i once per point, O(n)
         self._coset_products: Tuple[Element, ...] = tuple(
             functools.reduce(field.mul, (field.sub(nr, ns) for ns in norms if ns != nr), 1)
             for nr in norms
         )
         #: (w_1, ..., w_n): w_i is the inverse of difference_product(i)
         self.weights: Tuple[Element, ...] = tuple(
-            w for r in range(t)
-            for w in (field.inv(self.difference_product(r * (q + 1))),) * (q + 1)
-        ) + (field.inv(self.difference_product(self.n - 1)),)
+            field.inv(self.difference_product(i)) for i in range(self.n)
+        )
         self._gamma: Optional[Tuple[Element, ...]] = None
 
     @property
@@ -464,7 +461,7 @@ def reconstruct_multipliers(
     family: v_i = m(a_i) * gamma_i, times a unit of norm 1/2 on the
     special corner (t, k) = (q-1, q-1)."""
     F = field
-    add, mul = F.op_tables
+    mul = F.op_tables[1]
     if provenance == PROVENANCE_ADDITIVE:
         t = coset_count(F.q, len(points), extended=False)
         span = F.sub(F.frobenius(F.generator), F.generator)
@@ -472,13 +469,8 @@ def reconstruct_multipliers(
         # norm_root is 0 at a zero norm and outside GF(q), and nowhere else
         v = tuple(map(F.norm_root_map, map(scale.__getitem__, witnesses["w"])))
         return None if 0 in v else v
-    m = Poly(F, witnesses["m_coeffs"]).coeffs  # rejects a coefficient outside the field
-    # m(a_i) at every point at once, by Horner: acc_i -> acc_i * a_i + c
-    by_point = list(map(mul.__getitem__, points))
-    acc = [0] * len(by_point)
-    for c in reversed(m):
-        acc = list(map(add[c].__getitem__, map(getitem, by_point, acc)))
-    v = map(getitem, map(mul.__getitem__, witnesses["gamma"]), acc)
+    m = Poly(F, witnesses["m_coeffs"])  # rejects a coefficient outside the field
+    v = map(getitem, map(mul.__getitem__, witnesses["gamma"]), map(m, points))
     if provenance == PROVENANCE_EXTENDED_SPECIAL:
         v = map(mul[F.solve_norm(F.inv(F.from_int(2)))].__getitem__, v)
     return tuple(v)

@@ -118,15 +118,15 @@ def generator_matrix(code: GRSCode) -> Matrix:
     """k x length matrix: row r is (v_i * a_i**r); the extended variant has
     one extra column equal to the k-th standard basis vector.
 
-    Row 0 is v (0**0 == 1) and row r+1 is row r times a_i, one pass
-    through the rows mul[a_i] of the field's lookup tables."""
+    Row 0 is v (0**0 == 1) and row r+1 is row r times a_i, column by
+    column, through the rows mul[a_i] of the field's lookup tables."""
     _, mul = code.field.op_tables
     by_point = [mul[ai] for ai in code.a]
     row = list(code.v)
     rows: Matrix = []
     for r in range(code.k):
         if r:
-            row = list(map(getitem, by_point, row))
+            row = [m[x] for m, x in zip(by_point, row)]
         rows.append(row + [int(r == code.k - 1)] if code.extended else row)
     return rows
 
@@ -266,7 +266,7 @@ def hermitian_dual_contains(code, word: Sequence[Element]) -> bool:
         raise ValueError(f"word of length {len(word)} for a code of length {code.length}")
     F = code.field
     check_elements(F, word, "word entry")
-    wq = list(map(F.frobenius_map, word))
+    wq = [F.frobenius(x) for x in word]
     return not any(row_products(F, wq, generator_rows(code)))
 
 
@@ -439,7 +439,7 @@ def is_mds_by_rank(code) -> bool:
         rows = [list(r) for r in rows]
     neg = inv = None
     if k >= 3:  # -x and 1/x of every element x (1/0 read as 0): O(Q) each
-        neg = list(map(F.neg_map, F.elements()))
+        neg = [F.neg(x) for x in F.elements()]
         inv = [0] + [F.inv(x) for x in F.nonzero_elements()]
     return _independent(rows, (add, mul, pad, neg, inv, F.order - 1))
 

@@ -54,14 +54,9 @@ if TYPE_CHECKING:
 
 
 def check_elements(field: FieldTower | PrimeField, xs: Iterable[Element], what: str) -> None:
-    """Raise ValueError unless every x is an element encoding of the field.
-    All ints in range is settled by C-level passes; otherwise the loop names
-    the first offender."""
+    """Raise ValueError unless every x is an element encoding of the field."""
     # type(x) is int, not isinstance: a bool is an int subclass, and
     # neither a bool nor a float is an element encoding
-    xs = list(xs)
-    if not xs or set(map(type, xs)) == {int} and 0 <= min(xs) and max(xs) < field.order:
-        return
     for x in xs:
         if type(x) is not int or not 0 <= x < field.order:
             raise ValueError(f"{what} {x!r} is not an element of {field!r}")

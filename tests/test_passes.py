@@ -23,7 +23,6 @@ from qmds.construct import (
 )
 from qmds.field import LOOKUP_TABLE_MAX_ORDER, make_field
 from qmds.grs import hermitian_gram
-from qmds.poly import check_elements
 
 #: Every tower of at most 256 elements: q = 2, 4, 8, 16, 3, 9, 5, 7, 11, 13.
 TABLED = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (5, 1), (7, 1), (11, 1), (13, 1)]
@@ -193,21 +192,3 @@ def test_hermitian_gram_equals_the_loop(field):
                 acc = F.add(acc, F.mul(F.frobenius(x), y))
             expected[i][j] = acc
     assert hermitian_gram(F, rows) == expected
-
-
-def reference_check_elements(F, xs, what):
-    for x in xs:
-        if type(x) is not int or not 0 <= x < F.order:
-            raise ValueError(f"{what} {x!r} is not an element of {F!r}")
-
-
-@pytest.mark.parametrize("pe", [(2, 1), (3, 2), (17, 1)])
-def test_check_elements_names_the_same_first_offender(pe):
-    F = make_field(*pe)
-    top = F.order - 1
-    cases = [[], [0], [0, top], [top + 1], [-1, 0], [0, True], [False], [1, 1.0],
-             [0, "1", top + 1], [2 ** 70], [0, None], [top, -2 ** 70, True]]
-    for xs in cases:
-        expected = raised(lambda: reference_check_elements(F, xs, "entry"))
-        assert raised(lambda: check_elements(F, xs, "entry")) == expected
-        assert raised(lambda: check_elements(F, iter(xs), "entry")) == expected
