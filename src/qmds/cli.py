@@ -31,7 +31,7 @@ from .construct import (
     additive_coset_code,
     quantum_params_for_distance,
 )
-from .field import DEFAULT_ELEMENT_BOUND, MAX_ELEMENT_BOUND
+from .field import DEFAULT_ELEMENT_BOUND, MAX_ELEMENT_BOUND, check_element_bound
 from .verify import (
     DEFAULT_SWEEP_Q,
     FAMILIES,
@@ -119,8 +119,7 @@ def _element_bound(args: argparse.Namespace) -> int:
             raise ParameterError(f"{ELEMENT_BOUND_ENV} must be an integer, got {env!r}")
     if bound is None:
         return DEFAULT_ELEMENT_BOUND
-    if not 4 <= bound <= MAX_ELEMENT_BOUND:  # GF(4) is the smallest field
-        raise ParameterError(f"element bound {bound} is outside 4..{MAX_ELEMENT_BOUND}")
+    check_element_bound(bound)
     return bound
 
 

@@ -200,8 +200,6 @@ class AdditiveCosetDesign:
         self.field = field
         self.t = t
         self.alpha: Element = field.generator
-        if field.in_subfield(self.alpha):
-            raise RuntimeError("generator unexpectedly lies in the subfield")
         sub = field.subfield_elements()
         self.betas: Tuple[Element, ...] = sub[:t]
         add, mul = field.op_tables
@@ -209,8 +207,6 @@ class AdditiveCosetDesign:
         shifts = map(mul[self.alpha].__getitem__, self.betas)
         self.points: Tuple[Element, ...] = tuple(itertools.chain.from_iterable(
             map(add[shift].__getitem__, sub) for shift in shifts))
-        if len(set(self.points)) != t * field.q:
-            raise RuntimeError("coset points are not distinct")
         # alpha**q - alpha: every product across two cosets carries it
         self.span: Element = field.sub(field.frobenius(self.alpha), self.alpha)
         # prod_{j != i}(a_i - a_j), and so w_i, depends only on the coset
@@ -307,15 +303,11 @@ class MultiplicativeCosetDesign:
             field.pow(field.generator, s) for s in range(t)
         )
         norms = [field.norm(b) for b in self.betas]
-        if len(set(norms)) != t:
-            raise RuntimeError("coset representatives are not in distinct cosets")
         pts: List[Element] = []
         for beta in self.betas:
             pts.extend(field.mul(beta, field.pow(self.theta, l)) for l in range(q + 1))
         pts.append(0)
         self.points: Tuple[Element, ...] = tuple(pts)
-        if len(set(self.points)) != t * (q + 1) + 1:
-            raise RuntimeError("coset points are not distinct")
         # prod_{s != r}(beta_r**(q+1) - beta_s**(q+1)) once per coset r,
         # O(t^2); then w_i once per point, O(n)
         self._coset_products: Tuple[Element, ...] = tuple(
@@ -424,8 +416,6 @@ def multiplicative_coset_code(
         "gamma": list(design.gamma()),
     }
     v = reconstruct_multipliers(field, design.points, provenance, witnesses)
-    if not all(v):
-        raise RuntimeError("scaling polynomial vanishes at an evaluation point")
     code = GRSCode(field, design.points, v, k, extended=True)
     return ConstructionResult(code=code, witnesses=witnesses)
 
@@ -487,14 +477,14 @@ def witness_error(code: GRSCode, witnesses: object) -> Optional[str]:
     and w must hold one entry per point and its m_coeffs must be monic of
     scaling_degree, its leading 1 last, because reconstruct_multipliers
     zips gamma with the points, trims m and ignores w; w must then give
-    gamma_i**(q+1) == -w_i at every point.  The corner (t, k) = (q-1, q-1)
-    in even characteristic has no witnesses: its unit of norm 1/2 does not
-    exist."""
+    gamma_i**(q+1) == -w_i at every point.  The corner grid() marks
+    excluded, (t, k) = (q-1, q-1) in even characteristic, has no
+    witnesses: its unit of norm 1/2 does not exist."""
     if type(witnesses) is not dict:
         return "'witnesses' must be a dict"
     F = code.field
     t, provenance = design_of(code)
-    if provenance == PROVENANCE_EXTENDED_SPECIAL and F.q % 2 == 0:
+    if code.extended and _admissible_ks(F.q, FAMILY_EXTENDED, t).get(code.k):
         return ("'witnesses' give no multipliers: t = k = q-1 is excluded "
                 "in even characteristic")
     keys = WITNESS_KEYS[provenance]

@@ -52,9 +52,10 @@ Element = int
 #: are materialised, so this caps table memory and construction time.
 DEFAULT_ELEMENT_BOUND = 2 ** 14
 
-#: Ceiling on a user-set element bound: building GF(2^16) takes about 0.015 s
-#: and 1.1 MB on a 2-core Intel Xeon with Python 3.11, and each further
-#: factor of 4 costs about 4x the time and 4x the memory.
+#: Ceiling on a user-set element bound, and on the order of any tower:
+#: building GF(2^16) takes about 0.015 s and 1.1 MB on a 2-core Intel Xeon
+#: with Python 3.11, and each further factor of 4 costs about 4x the time
+#: and 4x the memory.
 MAX_ELEMENT_BOUND = 2 ** 16
 
 #: Largest field whose add/mul tables `FieldTower.op_tables` stores as byte
@@ -71,6 +72,13 @@ LOOKUP_TABLE_MAX_ORDER = 256
 
 class ParameterError(ValueError):
     """Parameters outside the admissible range."""
+
+
+def check_element_bound(bound: int) -> None:
+    """Raise ParameterError unless 4 <= bound <= MAX_ELEMENT_BOUND; GF(4)
+    is the smallest tower."""
+    if not 4 <= bound <= MAX_ELEMENT_BOUND:
+        raise ParameterError(f"element bound {bound} is outside 4..{MAX_ELEMENT_BOUND}")
 
 
 def is_prime(n: int) -> bool:
@@ -163,8 +171,7 @@ class PrimeField(Frozen):
     def op_tables(self) -> Tuple[Tuple[Sequence[int], ...], Tuple[Sequence[int], ...]]:
         """(add, mul) with add[x][y] == (x + y) % p and mul[x][y] == x * y
         % p, built once per p and shared by every instance.  The rows are
-        `bytes` up to LOOKUP_TABLE_MAX_ORDER, which covers every p the
-        element bound admits, and tuples above."""
+        `bytes`: a tower's p is at most 251, since p**2 <= MAX_ELEMENT_BOUND."""
         return _prime_tables(self.p)
 
     def neg(self, x: int) -> int:
@@ -179,10 +186,9 @@ class PrimeField(Frozen):
 
 @functools.lru_cache(maxsize=None)
 def _prime_tables(p: int) -> Tuple[Tuple[Sequence[int], ...], Tuple[Sequence[int], ...]]:
-    row = bytes if p <= LOOKUP_TABLE_MAX_ORDER else tuple
     elems = range(p)
-    return (tuple(row((x + y) % p for y in elems) for x in elems),
-            tuple(row(x * y % p for y in elems) for x in elems))
+    return (tuple(bytes((x + y) % p for y in elems) for x in elems),
+            tuple(bytes(x * y % p for y in elems) for x in elems))
 
 
 class FieldTower:
@@ -208,10 +214,12 @@ class FieldTower:
     """
 
     def __init__(self, p: int, e: int):
-        if not is_prime(p):
-            raise ValueError(f"p must be prime, got {p}")
         if e < 1:
-            raise ValueError(f"extension degree must be positive, got {e}")
+            raise ParameterError(f"extension degree must be positive, got {e}")
+        if p >= 2 and (e > MAX_ELEMENT_BOUND.bit_length() or p ** (2 * e) > MAX_ELEMENT_BOUND):
+            raise ParameterError(f"GF({p}^{2 * e}) exceeds the ceiling of {MAX_ELEMENT_BOUND} elements")
+        if not is_prime(p):
+            raise ParameterError(f"p must be prime, got {p}")
         self.p = p
         self.e = e
         self.q = p ** e
@@ -254,12 +262,10 @@ class FieldTower:
         Fp = PrimeField(p)
         tail = [-c % p for c in self.modulus[:-1]]
         one = self._unpack(1)
-        for gen_packed in range(2, self.order):
+        for gen_packed in range(2, self.order):  # the checks after the walk cover a miss
             gen = self._unpack(gen_packed)
             if all(_power(Fp, gen, M // r, tail) != one for r in factors):
                 break
-        else:
-            raise RuntimeError("no primitive element found")  # cannot happen
 
         def image(v: int) -> List[int]:  # v*g as its 2e base-p digits
             return _product(Fp, self._unpack(v), gen, tail)
@@ -528,14 +534,13 @@ def _build_field(p: int, e: int) -> FieldTower:
 def make_field(p: int, e: int, element_bound: int = DEFAULT_ELEMENT_BOUND) -> FieldTower:
     """GF(p^(2e)) with subfield GF(p^e), enforcing the element-count bound.
 
-    The bound is checked before p is tested for primality, so a huge p is
-    rejected without trial division."""
+    The bound is checked before FieldTower tests p for primality, so a huge
+    p is rejected without trial division."""
+    check_element_bound(element_bound)
     if e < 1:
         raise ParameterError(f"extension degree must be positive, got {e}")
     if p >= 2 and (e > element_bound.bit_length() or p ** (2 * e) > element_bound):
         raise ParameterError(f"GF({p}^{2 * e}) exceeds the bound of {element_bound} elements")
-    if not is_prime(p):
-        raise ParameterError(f"p must be prime, got {p}")
     return _build_field(p, e)
 
 

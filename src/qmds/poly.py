@@ -363,11 +363,12 @@ def _block_images(F: FieldTower | PrimeField) -> Callable[[List[Element]], bytes
     [c_1, ..., c_(l-1), 1] it returns free, where free[c_0] == 1 iff g +
     c_0 is root-free, g = x**l + ... + c_1 x.  A tower of more than
     LOOKUP_TABLE_MAX_ORDER elements computes each image in bulk in the log
-    domain (`_bulk_root_free`); smaller towers and GF(p) read their byte
-    tables (`_table_root_free`), which measured faster there."""
-    from .field import LOOKUP_TABLE_MAX_ORDER, FieldTower  # see root_free_monic
+    domain (`_bulk_root_free`); smaller towers and GF(p), where p is at
+    most 251, read their byte tables (`_table_root_free`), which measured
+    faster there."""
+    from .field import LOOKUP_TABLE_MAX_ORDER  # see root_free_monic
 
-    if isinstance(F, FieldTower) and F.order > LOOKUP_TABLE_MAX_ORDER:
+    if F.order > LOOKUP_TABLE_MAX_ORDER:
         return _bulk_root_free(F)
     return _table_root_free(F)
 
@@ -388,16 +389,14 @@ def _table_root_free(
     tables gives h(x) at every point, and the add row of -x**2 h(x) is
     kept.  A block is then one C-level pass over the points, in which the
     mul row of -c_1 gives -c_1 x and each point's kept row adds
-    -x**2 h(x).  Where an element fits in a byte, two byte translations
-    turn these values into the marks: the elements go through a table that
-    sends each value to 0, then through `_NONZERO`.  Every other element is
-    sent to itself first, and is nonzero, since c_0 = 0 is the value at
-    x = 0.  GF(p) past 256 elements, which only an element bound above
-    MAX_ELEMENT_BOUND admits, clears each value's mark in turn instead."""
+    -x**2 h(x).  Two byte translations turn these values into the marks:
+    the elements go through a table that sends each value to 0, then
+    through `_NONZERO`.  Every other element is sent to itself first, and
+    is nonzero, since c_0 = 0 is the value at x = 0."""
     add, mul = F.op_tables
     neg = mul[F.neg(1)]  # neg[c] == -c
     elems = F.elements()
-    codes = bytes(elems) if F.order <= 256 else None
+    codes = bytes(elems)
     zeros = bytes(F.order)
     high: Optional[List[Element]] = None
     shifts: List[Sequence[Element]] = []  # shifts[x] == add[-x**2 h(x)]
@@ -414,11 +413,6 @@ def _table_root_free(
                     acc = add[mul[acc][x]][c]
                 shifts.append(add[mul[mul[acc][x]][neg[x]]])
         values = map(operator.getitem, shifts, mul[neg[upper[0]]])
-        if codes is None:
-            free = bytearray(b"\1") * F.order
-            # deque(..., 0) drains the marking map in C; it yields only Nones
-            collections.deque(map(free.__setitem__, values, itertools.repeat(0)), 0)
-            return bytes(free)
         return codes.translate(bytes.maketrans(bytes(values), zeros)).translate(_NONZERO)
 
     return root_free

@@ -20,6 +20,7 @@ from qmds.construct import (
     quantum_params_for_distance,
     reconstruct_multipliers,
     select_scaling_poly,
+    witness_error,
 )
 from qmds.field import field_for_prime_power, make_field
 from qmds.grs import (
@@ -650,3 +651,16 @@ def test_design_of_gives_an_extended_length_off_the_family_the_general_tag(q):
             code = GRSCode(F, range(n), (1,) * n, k, extended=True)
             special = (n - 1) / (q + 1) == q - 1 and k == q - 1
             assert design_of(code)[1] == ("prop1-special" if special else "prop1-general")
+
+
+def test_additive_code_raises_when_the_witnesses_give_no_multipliers(monkeypatch):
+    monkeypatch.setattr("qmds.construct.reconstruct_multipliers", lambda *args: None)
+    with pytest.raises(RuntimeError, match="scaled multiplier is not a subfield unit"):
+        additive_coset_code(3, 2, 1)
+
+
+@pytest.mark.parametrize("value", ["01", (0,), {0: 1}, 0])
+def test_witness_error_names_a_witness_that_is_not_a_list(value):
+    res = additive_coset_code(3, 2, 1)
+    assert witness_error(res.code, {"w": value}) == (
+        "'witnesses' key 'w' must be a list of field elements")

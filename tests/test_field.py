@@ -8,6 +8,7 @@ from qmds.field import (
     DEFAULT_ELEMENT_BOUND,
     MAX_ELEMENT_BOUND,
     FieldTower,
+    ParameterError,
     PrimeField,
     factor_prime_power,
     field_for_prime_power,
@@ -282,6 +283,31 @@ def test_make_field_rejects_bad_input():
     with pytest.raises(ValueError):
         make_field(2, 8)  # 2^16 elements exceeds the default bound
     make_field(2, 8, element_bound=2 ** 16)  # override admits it
+
+
+def test_fields_past_the_ceiling_are_rejected_where_they_are_built():
+    # make_field takes the CLI's 4..2**16 range for its bound, and
+    # FieldTower the ceiling itself; both once built these towers
+    for bound in (3, 2 ** 18):
+        with pytest.raises(ParameterError, match=f"element bound {bound} is outside 4..65536"):
+            make_field(2, 9, element_bound=bound)
+    with pytest.raises(ParameterError, match=r"GF\(257\^2\) exceeds the ceiling of 65536 elements"):
+        FieldTower(257, 1)
+    with pytest.raises(ParameterError, match=r"GF\(2\^2000000\) exceeds the ceiling"):
+        FieldTower(2, 10 ** 6)  # rejected before 2**(2e) is computed
+
+
+def test_field_tower_rejects_a_composite_p_and_a_nonpositive_e():
+    with pytest.raises(ParameterError, match="p must be prime, got 4"):
+        FieldTower(4, 1)
+    with pytest.raises(ParameterError, match="extension degree must be positive, got 0"):
+        FieldTower(2, 0)
+
+
+def test_towers_are_equal_by_p_and_e_and_to_nothing_else():
+    assert FieldTower(2, 1) == make_field(2, 1) != make_field(2, 2)
+    assert make_field(2, 1).__eq__((2, 1)) is NotImplemented
+    assert make_field(2, 1) != (2, 1)
 
 
 def test_factor_prime_power():

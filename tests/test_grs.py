@@ -323,6 +323,19 @@ def test_messages_over_another_field_are_refused(extended):
 # Hermitian self-orthogonality
 # ----------------------------------------------------------------------
 
+def test_as_linear_code_returns_a_linear_code_itself():
+    code = LinearCode(F4, ((1, 1, 1),))
+    assert as_linear_code(code) is code
+
+
+def test_both_distance_kernels_reject_the_zero_code():
+    zero = LinearCode(F4, (), length=3)
+    with pytest.raises(ValueError, match="the zero code has no nonzero codewords"):
+        min_distance_bruteforce(zero)
+    with pytest.raises(ValueError, match="the zero code has no distance"):
+        is_mds_by_rank(zero)
+
+
 def test_zero_dimensional_code_is_self_orthogonal():
     ok, witness = is_hermitian_self_orthogonal(LinearCode(F9, (), length=5))
     assert ok and witness is None

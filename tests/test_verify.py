@@ -13,7 +13,7 @@ from qmds.construct import (
     additive_coset_code,
     multiplicative_coset_code,
 )
-from qmds.field import make_field
+from qmds.field import FieldTower, make_field
 from qmds.grs import GRSCode, generator_matrix, is_hermitian_self_orthogonal
 from qmds.verify import (
     CSV_COLUMNS,
@@ -287,6 +287,14 @@ def test_five_one_five_nonexistence():
     record = five_one_five_search()
     assert record.confirmed
     assert record.candidates_examined == 81
+
+
+def test_five_one_five_search_reports_a_candidate_whose_self_product_vanishes(monkeypatch):
+    # with every norm patched to 0 the first candidate is self-orthogonal,
+    # so the search must stop there and not confirm
+    monkeypatch.setattr(FieldTower, "norm", lambda self, x: 0)
+    record = five_one_five_search()
+    assert (record.confirmed, record.candidates_examined) == (False, 1)
 
 
 def test_five_one_five_single_candidate_argument():
