@@ -60,9 +60,10 @@ MAX_ELEMENT_BOUND = 2 ** 16
 
 #: Largest field whose add/mul tables `FieldTower.op_tables` stores as byte
 #: rows, and whose unary maps (`FieldTower.norm_map` and the like) are byte
-#: tables: every element then fits in one byte, and a table is at most 64 KB.
-#: Above it op_tables are views that call the methods, and the unary maps
-#: are the methods.  Up to it the root-free search (`poly._block_images`)
+#: tables: every element fits in one byte, an add row is a 256-byte
+#: translate table, and a table is at most 64 KB.  Above it op_tables are
+#: views that call the methods, and the unary maps are the methods.  Up to
+#: it the root-free search (`poly._block_images`)
 #: takes each block image in one C-level pass over the byte rows; above it
 #: the search computes its block images in bulk in the log domain, but its
 #: sieve marks, its irreducibility test and its discriminant filter still
@@ -156,11 +157,15 @@ class PrimeField(Frozen):
     """GF(p) on the ints 0..p-1, with just what `root_free_monic` and the
     polynomial kernels in `poly` read to find a tower's modulus and build
     its tables.  Equal and hashed by p, so the search's cache keeps one
-    entry per (p, degree)."""
+    entry per (p, degree).  p is a prime with p**2 <= MAX_ELEMENT_BOUND."""
 
     __slots__ = ("p",)
 
     def __init__(self, p: int) -> None:
+        if p >= 2 and p * p > MAX_ELEMENT_BOUND:
+            raise ParameterError(f"GF({p}^2) exceeds the ceiling of {MAX_ELEMENT_BOUND} elements")
+        if not is_prime(p):
+            raise ParameterError(f"p must be prime, got {p}")
         self._set(p=p)
 
     @property
@@ -171,7 +176,7 @@ class PrimeField(Frozen):
     def op_tables(self) -> Tuple[Tuple[Sequence[int], ...], Tuple[Sequence[int], ...]]:
         """(add, mul) with add[x][y] == (x + y) % p and mul[x][y] == x * y
         % p, built once per p and shared by every instance.  The rows are
-        `bytes`: a tower's p is at most 251, since p**2 <= MAX_ELEMENT_BOUND."""
+        `bytes`, since p is at most 251."""
         return _prime_tables(self.p)
 
     def neg(self, x: int) -> int:
@@ -203,7 +208,8 @@ class FieldTower:
         op_tables: (add, mul) with add[x][y] == self.add(x, y) and
             mul[x][y] == self.mul(x, y), for the kernels' inner loops.  Up
             to LOOKUP_TABLE_MAX_ORDER elements the rows are `bytes` (64 KB
-            per table at order 256); larger towers get views that call the
+            per table at order 256), each add row zero-padded to a 256-byte
+            `bytes.translate` table; larger towers get views that call the
             methods, so no order**2 entries are materialised.
         frobenius_map, norm_map, neg_map, norm_root_map: the unary maps
             x -> frobenius(x), norm(x), neg(x) and norm_root(x), for the
@@ -218,13 +224,12 @@ class FieldTower:
             raise ParameterError(f"extension degree must be positive, got {e}")
         if p >= 2 and (e > MAX_ELEMENT_BOUND.bit_length() or p ** (2 * e) > MAX_ELEMENT_BOUND):
             raise ParameterError(f"GF({p}^{2 * e}) exceeds the ceiling of {MAX_ELEMENT_BOUND} elements")
-        if not is_prime(p):
-            raise ParameterError(f"p must be prime, got {p}")
+        Fp = PrimeField(p)  # checks that p is prime
         self.p = p
         self.e = e
         self.q = p ** e
         self.order = self.q ** 2
-        self.modulus: Tuple[int, ...] = root_free_monic(PrimeField(p), 2 * e).coeffs
+        self.modulus: Tuple[int, ...] = root_free_monic(Fp, 2 * e).coeffs
         self._build_tables()
 
     # -- construction ---------------------------------------------------
@@ -360,9 +365,9 @@ class FieldTower:
         units = bytes(range(1, self.order))
         mul = (bytes(self.order),) + tuple(b"\0" + units[r:] + units[:r] for r in range(M))
         one_plus = bytes(0 if z >= M else 1 + z for z in zech)
-        pad = bytes(256 - self.order)
-        add = (bytes(range(self.order)),) + tuple(
-            bytes((1 + r,)) + (one_plus[M - r:] + one_plus[:M - r]).translate(mul[1 + r] + pad)
+        pad = bytes(256 - self.order)  # so each add row is a translate table
+        add = (bytes(range(self.order)) + pad,) + tuple(
+            bytes((1 + r,)) + (one_plus[M - r:] + one_plus[:M - r]).translate(mul[1 + r] + pad) + pad
             for r in range(M))
         self.op_tables: Tuple[Sequence[Sequence[Element]], ...] = (add, mul)
 
@@ -534,12 +539,10 @@ def _build_field(p: int, e: int) -> FieldTower:
 def make_field(p: int, e: int, element_bound: int = DEFAULT_ELEMENT_BOUND) -> FieldTower:
     """GF(p^(2e)) with subfield GF(p^e), enforcing the element-count bound.
 
-    The bound is checked before FieldTower tests p for primality, so a huge
-    p is rejected without trial division."""
+    The bound is checked before FieldTower tests e and p, so a huge p is
+    rejected without trial division, and p**(2e) is not taken at e < 1."""
     check_element_bound(element_bound)
-    if e < 1:
-        raise ParameterError(f"extension degree must be positive, got {e}")
-    if p >= 2 and (e > element_bound.bit_length() or p ** (2 * e) > element_bound):
+    if p >= 2 and 1 <= e and (e > element_bound.bit_length() or p ** (2 * e) > element_bound):
         raise ParameterError(f"GF({p}^{2 * e}) exceeds the bound of {element_bound} elements")
     return _build_field(p, e)
 

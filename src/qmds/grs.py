@@ -18,13 +18,13 @@ Q^(lead-2) bases, each N translates and Q byte histograms.  The rank test
 holds the residues of a column prefix as one row per coordinate, shares
 that elimination with every k-subset that extends the prefix, and
 settles the last two columns of every subset with one set of about N
-projective keys per (k-2)-column prefix.  Both hold O(k*N) field
-elements, brute force also the N*Q key bytes of one base, and both read
-the field's add/mul lookup tables (`FieldTower.op_tables`).  Their caps
-still count all Q^k codewords and all C(N, k) subsets.  The generator
-rows read the same tables, and so does `row_products`, the one
-row-product loop behind the Hermitian Gram product, direct
-Hermitian-dual membership and the dual-basis orthogonality check.
+projective keys per (k-2)-column prefix.  Both read a code's `rows`,
+hold O(k*N) field elements (brute force also the N*Q key bytes of one
+base) and read `FieldTower.op_tables`, whose add rows are translate
+tables up to 256 elements.  Their caps still count all Q^k codewords and
+all C(N, k) subsets.  `generator_matrix` reads the same tables, and so
+does `row_products`, the one loop behind the Hermitian Gram product,
+direct Hermitian-dual membership and the dual-basis orthogonality check.
 """
 
 from __future__ import annotations
@@ -54,7 +54,8 @@ class GRSCode(Frozen):
     """Evaluation points `a`, column multipliers `v` (both kept as tuples),
     dimension `k`.
 
-    Length is n = len(a) when plain, n + 1 when extended.
+    Length is n = len(a) when plain, n + 1 when extended.  `rows` builds
+    the generator matrix on each access, as the kernels read a LinearCode's.
     """
 
     __slots__ = ("field", "a", "v", "k", "extended")
@@ -86,6 +87,10 @@ class GRSCode(Frozen):
     @property
     def length(self) -> int:
         return self.n + 1 if self.extended else self.n
+
+    @property
+    def rows(self) -> Matrix:
+        return generator_matrix(self)
 
 
 class LinearCode(Frozen):
@@ -131,19 +136,11 @@ def generator_matrix(code: GRSCode) -> Matrix:
     return rows
 
 
-def generator_rows(code) -> Sequence[Sequence[Element]]:
-    """Generator rows of a GRSCode (generator_matrix's lists) or a
-    LinearCode (its own tuples); callers only read them."""
-    if isinstance(code, GRSCode):
-        return generator_matrix(code)
-    return code.rows
-
-
 def as_linear_code(code) -> LinearCode:
     """The code itself when it is a LinearCode, else its generator matrix."""
     if isinstance(code, LinearCode):
         return code
-    return LinearCode(code.field, generator_rows(code), code.length)
+    return LinearCode(code.field, code.rows, code.length)
 
 
 def _check_message(code: GRSCode, f: Poly) -> None:
@@ -251,8 +248,7 @@ def is_hermitian_self_orthogonal(code) -> Tuple[bool, Optional[Tuple[int, int, E
     G^(q) * G^T is the zero matrix.  On failure the witness is a violating
     (row, row, value) triple."""
     F = code.field
-    rows = generator_rows(code)
-    gram = hermitian_gram(F, rows)
+    gram = hermitian_gram(F, code.rows)
     for i, row in enumerate(gram):
         for j, val in enumerate(row):
             if val != 0:
@@ -267,7 +263,7 @@ def hermitian_dual_contains(code, word: Sequence[Element]) -> bool:
     F = code.field
     check_elements(F, word, "word entry")
     wq = [F.frobenius(x) for x in word]
-    return not any(row_products(F, wq, generator_rows(code)))
+    return not any(row_products(F, wq, code.rows))
 
 
 def in_hermitian_dual(code: GRSCode, f: Poly) -> bool:
@@ -324,9 +320,9 @@ def min_distance_bruteforce(code) -> int:
     row_1[j] != 0; those columns are kept scaled by -1 / row_1[j], so they
     add 1 at the c1 their entry names.  The cap admits k >= 3 only on
     fields of at most 100 elements, so the byte rows of op_tables exist
-    whenever lead >= 2 does.  The buffer is the call's only N*Q bytes,
-    each padded `add` row lives for one translate, and the rows hold
-    O(k*N) field elements; the cap still counts all Q^k codewords.
+    whenever lead >= 2 does, and each `add` row is a translate table as
+    the tower stores it.  The buffer is the call's only N*Q bytes, and the
+    rows hold O(k*N) field elements; the cap still counts all Q^k codewords.
     """
     F = code.field
     k = code.k
@@ -338,7 +334,7 @@ def min_distance_bruteforce(code) -> int:
         raise CapExceeded(
             f"{order ** k} codewords exceed the enumeration cap {BRUTE_FORCE_CAP}"
         )
-    rows = generator_rows(code)
+    rows = code.rows
     row0 = rows[0]
     best = length - row0.count(0)
     if k == 1:
@@ -356,7 +352,6 @@ def min_distance_bruteforce(code) -> int:
     best = min(best, length - fixed_of[1].count(0) - max(Counter(keys_of[1]).values()))
     if k == 2:
         return best
-    pad = bytes(256 - order)  # a translate table has 256 entries
     by_c1 = [mul[x] for x in keys_of[1]]
     over_c1 = bytearray(len(by_c1) * order)  # entry j * Q + c1: column j's key at c1
     for lead in range(2, k):
@@ -379,7 +374,7 @@ def min_distance_bruteforce(code) -> int:
                 rest = [add[x][scaled[y]] for x, y in zip(rest, fixed_of[i])]
             start = 0
             for m, x in zip(by_c1, keys):
-                over_c1[start:start + order] = m.translate(add[x] + pad)
+                over_c1[start:start + order] = m.translate(add[x])
                 start += order
             most = [max(Counter(over_c1[c1::order]).values()) for c1 in range(order)]
             for c1 in rest[:n_pinned]:
@@ -430,25 +425,19 @@ def is_mds_by_rank(code) -> bool:
     if n_subsets > RANK_TEST_CAP:
         raise CapExceeded(f"{n_subsets} column subsets exceed the cap {RANK_TEST_CAP}")
     add, mul = F.op_tables
-    rows = generator_rows(code)
-    pad = None
-    if F.order <= LOOKUP_TABLE_MAX_ORDER:
-        rows = [bytes(r) for r in rows]
-        pad = bytes(256 - F.order)  # a translate table has 256 entries
-    else:
-        rows = [list(r) for r in rows]
-    neg = inv = None
-    if k >= 3:  # -x and 1/x of every element x (1/0 read as 0): O(Q) each
-        neg = [F.neg(x) for x in F.elements()]
+    pack = bytes if F.order <= LOOKUP_TABLE_MAX_ORDER else list
+    inv = None
+    if k >= 3:  # 1/x of every element x (1/0 read as 0): O(Q)
         inv = [0] + [F.inv(x) for x in F.nonzero_elements()]
-    return _independent(rows, (add, mul, pad, neg, inv, F.order - 1))
+    neg = mul[F.neg(1)]  # neg[x] == -x
+    return _independent([pack(r) for r in code.rows], (add, mul, neg, inv, F.order - 1))
 
 
 def _independent(rows, tables) -> bool:
     """Whether every len(rows) of the columns are linearly independent,
     where row j holds coordinate j of each column.  `tables` is
-    (add, mul, pad, neg, inv, Q-1), as is_mds_by_rank builds it."""
-    add, mul, pad, neg, inv, units = tables
+    (add, mul, neg, inv, Q-1), as is_mds_by_rank builds it."""
+    add, mul, neg, inv, units = tables
     m = len(rows)
     zeros = rows[0].count(0)
     if zeros >= m:  # m columns in the hyperplane where coordinate 0 vanishes
@@ -479,10 +468,10 @@ def _independent(rows, tables) -> bool:
         reduced = []
         for r in scaled:
             shift = add[neg[r[a]]]
-            if pad is None:
-                tail = list(map(shift.__getitem__, r[a + 1:affine]))
+            if pack is bytes:
+                tail = r[a + 1:affine].translate(shift)
             else:
-                tail = r[a + 1:affine].translate(shift + pad)
+                tail = list(map(shift.__getitem__, r[a + 1:affine]))
             reduced.append(tail + r[affine:])
         if not _independent(reduced, tables):
             return False

@@ -385,8 +385,8 @@ def _table_root_free(
 
     -g(x) == -x**2 h(x) - c_1 x, where h = x**(l-2) + c_(l-1) x**(l-3) +
     ... + c_2 is Horner's value before "+ c_1", so it is the same for
-    every block of a superblock.  Once per superblock, Horner's rule on the
-    tables gives h(x) at every point, and the add row of -x**2 h(x) is
+    every block of a superblock.  Once per superblock, `Poly`'s table
+    Horner gives h(x) at every point, and the add row of -x**2 h(x) is
     kept.  A block is then one C-level pass over the points, in which the
     mul row of -c_1 gives -c_1 x and each point's kept row adds
     -x**2 h(x).  Two byte translations turn these values into the marks:
@@ -405,13 +405,8 @@ def _table_root_free(
         nonlocal high, shifts
         if upper[1:] != high:
             high = upper[1:]
-            horner = high[-2::-1]  # c_(l-1), ..., c_2
-            shifts = []
-            for x in elems:
-                acc = 1
-                for c in horner:
-                    acc = add[mul[acc][x]][c]
-                shifts.append(add[mul[mul[acc][x]][neg[x]]])
+            h = Poly(F, high)  # x**(l-2) + c_(l-1) x**(l-3) + ... + c_2
+            shifts = [add[mul[mul[h(x)][x]][neg[x]]] for x in elems]
         values = map(operator.getitem, shifts, mul[neg[upper[0]]])
         return codes.translate(bytes.maketrans(bytes(values), zeros)).translate(_NONZERO)
 

@@ -48,6 +48,23 @@ SWEEP_SHA256 = "d3e6323e6eb953b6b8942293e21a629841b646b0006b59269f55a41337e930ed
 #: default grid.
 SWEEP_Q11_SHA256 = "ba59f32bd27f68e1c402e226df5ad325618e0630e0da45422736b4827bb663eb"
 
+#: sha256 of the stdout of the benchmark's `construct-highdeg` and
+#: `construct-large` calls: the same contract for `v`, `generator` and
+#: `m_coeffs`, which the sweep's rows do not print.
+CONSTRUCT_SHA256 = (
+    ("theorem2", 16, 5, 3, "321c9500206ae0ebb702911f32e372c6ae9b8a4c30b5a7e23010e3ab2104583d"),
+    ("theorem2", 9, 6, 2, "f55c5899e9bbaa00cf1d0c62811154fca52188d1d465f8f397d744f9235f7a0f"),
+    ("theorem2", 8, 6, 2, "ecd41a0b6f65b772f0f1dfa15c77eb72915716ae1d8b1c325a94c98136968dfa"),
+    ("theorem2", 8, 4, 2, "2d98f66f2887bf9d846ad0d765f8ae1b47bf1a0f969bccc636547a5e089209b2"),
+    ("theorem2", 7, 5, 2, "4e0c131ee372eebffddabbaad9166e124cd34ddd23683bae7789eb4ecfba0959"),
+    ("theorem1", 128, 1, 1, "1e317f4d0e0775e97746309c555780446f5fa522230380ef92a8b56585ae2ca1"),
+    ("theorem1", 121, 2, 2, "fc71186b2545e4cb7c6e562e6c9b6008d04e6e3b662b186d2688440391aa98fb"),
+    ("theorem2", 128, 2, 2, "aaff30f2dbdefbda01f0d801358c58e805b56e9478d9dd1ddb0014dc15802603"),
+    ("theorem2", 127, 2, 2, "0dff861aac7d82410a29ea4b19799f955a818133f8ee7670fe7c3f74d07b6f4b"),
+    ("theorem2", 125, 3, 3, "05ec700668c6d66c2ae581483cac29dc912956d1bba865d7c669c716834b3692"),
+    ("theorem2", 128, 3, 3, "c1a87c13d6544f25f4b4b878940996ff757719ff4e4ad9a7f621fa2f192f0d47"),
+)
+
 
 def _report(number, label):
     print(f"ACCEPTANCE {number} {label}: PASS")
@@ -230,6 +247,15 @@ def test_criterion_8_full_sweep_is_byte_identical(tmp_path):
     assert statuses.count(STATUS_OK) == 269
     assert statuses.count(STATUS_EXCLUDED) == 3
     _report(8, f"two independent full sweeps byte-identical ({len(rows)} rows)")
+
+
+def test_construct_outputs_are_byte_identical(capsys):
+    for family, q, t, x, digest in CONSTRUCT_SHA256:
+        flag = "--k" if family == "theorem1" else "--d"
+        argv = ["construct", family, "--q", str(q), "--t", str(t), flag, str(x)]
+        assert cli_main(argv) == 0, argv
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
 def test_sweep_past_the_default_grid_is_byte_identical(capsys):

@@ -632,6 +632,16 @@ def test_huge_prime_in_a_code_file_exits_2_before_factoring(tmp_path, capsys):
     assert "bound" in err
 
 
+def test_huge_p_with_a_negative_e_in_a_code_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps(
+        {"field": {"p": 10 ** 400, "e": -1, "modulus": [1]}, "a": [0], "v": [1], "k": 1}
+    ))
+    rc, out, err = run(capsys, ["verify", str(path)])
+    assert (rc, out) == (2, "")
+    assert "extension degree must be positive, got -1" in err
+
+
 @pytest.mark.parametrize("patch", [
     {"k": 1e999},
     {"a": [1e999]},

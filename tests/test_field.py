@@ -304,6 +304,30 @@ def test_field_tower_rejects_a_composite_p_and_a_nonpositive_e():
         FieldTower(2, 0)
 
 
+def test_prime_field_rejects_a_composite_p_and_one_past_the_ceiling():
+    with pytest.raises(ParameterError, match="p must be prime, got 4"):
+        PrimeField(4)
+    with pytest.raises(ParameterError, match=r"GF\(257\^2\) exceeds the ceiling of 65536 elements"):
+        PrimeField(257)
+
+
+def test_make_field_leaves_a_nonpositive_e_to_field_tower():
+    # 10**400 ** -2 would overflow a float in the bound check
+    with pytest.raises(ParameterError, match="extension degree must be positive, got -1"):
+        make_field(10 ** 400, -1)
+
+
+@pytest.mark.parametrize("p, e", UP_TO_16)
+def test_add_rows_are_translate_tables(p, e):
+    F = make_field(p, e)
+    add = F.op_tables[0]
+    elements = bytes(F.elements())
+    assert len(add) == F.order
+    for x, row in enumerate(add):
+        assert len(row) == 256
+        assert list(elements.translate(row)) == [F.add(x, y) for y in F.elements()]
+
+
 def test_towers_are_equal_by_p_and_e_and_to_nothing_else():
     assert FieldTower(2, 1) == make_field(2, 1) != make_field(2, 2)
     assert make_field(2, 1).__eq__((2, 1)) is NotImplemented

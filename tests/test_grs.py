@@ -464,7 +464,7 @@ def test_bruteforce_cap(monkeypatch):
     # 16**5 = 1,048,576 codewords, past BRUTE_FORCE_CAP = 10**6
     F16 = field_for_prime_power(4)
     code = GRSCode(F16, tuple(range(8)), (1,) * 8, 5)
-    monkeypatch.setattr("qmds.grs.generator_rows", _generator_must_not_be_built)
+    monkeypatch.setattr("qmds.grs.generator_matrix", _generator_must_not_be_built)
     with pytest.raises(CapExceeded, match="1048576 codewords"):
         min_distance_bruteforce(code)
 
@@ -480,7 +480,7 @@ def test_rank_test_cap(monkeypatch):
     # C(30, 5) = 142,506 column subsets, past RANK_TEST_CAP = 10**5
     F64 = field_for_prime_power(8)
     code = GRSCode(F64, tuple(range(30)), (1,) * 30, 5)
-    monkeypatch.setattr("qmds.grs.generator_rows", _generator_must_not_be_built)
+    monkeypatch.setattr("qmds.grs.generator_matrix", _generator_must_not_be_built)
     with pytest.raises(CapExceeded, match="142506 column subsets"):
         is_mds_by_rank(code)
 

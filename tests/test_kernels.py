@@ -178,10 +178,11 @@ def test_bruteforce_memory_does_not_grow_with_the_field():
 
 def test_bruteforce_holds_one_base_of_keys_over_c1():
     # [81, 3] over GF(81): the one lead-2 base holds 81 * 81 key bytes,
-    # about 7 KB, and each padded add row lives only for its translate;
-    # the call peaks near 19 KB.  Keeping the 81 padded rows (43 KB), the
-    # 81 translates beside the bytes they are joined into (37 KB), or one
-    # histogram of all 81 * 81 keys would pass 32 KB.
+    # about 7 KB, and the add rows it translates through are the tower's
+    # own 256-byte rows, built before tracing starts; the call peaks near
+    # 19 KB.  A padded copy of the 81 rows (23 KB more), the 81 translates
+    # kept beside the bytes they are joined into (37 KB), or one histogram
+    # of all 81 * 81 keys would pass 32 KB.
     F = make_field(3, 2)
     code = as_linear_code(GRSCode(F, range(81), [1] * 81, 3))
     tracemalloc.start()
